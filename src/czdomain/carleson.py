@@ -17,7 +17,7 @@ import numpy as np
 from .czop import BoundaryEngine, CPoly, Kernel, grad_total, grad_transform
 from .geometry import Disk, Polygon
 from .quadrature import tensor_rule
-from .whitney import OrientedCovering
+from .whitney import Forest, OrientedCovering
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +35,6 @@ class CubeMeasure:
 
     def get(self, pos: int) -> float:
         return float(self.mass.get(pos, 0.0))
-
-    def scaled(self, t: float) -> "CubeMeasure":
-        return CubeMeasure({k: t * v for k, v in self.mass.items()})
 
 
 def cube_measure(oc: OrientedCovering, kernel: Kernel, lam, n: int, p: float,
@@ -123,33 +120,11 @@ class TreeProblem:
         if len(roots) != 1:
             raise ValueError(f"tree must have exactly one root, found {len(roots)}")
         self.root = roots[0]
-        seen = [False] * n
-        order = [self.root]
-        seen[self.root] = True
-        kids = self.children()
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for v in kids[u]:
-                if seen[v]:
-                    raise ValueError("parent links contain a cycle")
-                seen[v] = True
-                order.append(v)
-        if not all(seen):
-            raise ValueError("tree is disconnected")
-        self.topo = order
+        self.forest = Forest(self.parent)  # raises on a cycle, hence connected
         if any(r <= 0 for r in self.rho):
             raise ValueError("weights rho must be positive")
         if any(m < 0 for m in self.mu):
             raise ValueError("masses mu must be nonnegative")
-
-    def children(self):
-        kids = [[] for _ in self.parent]
-        for i, q in enumerate(self.parent):
-            if q >= 0:
-                kids[q].append(i)
-        return kids
 
     def p_conjugate(self):
         p = Fraction(self.p).limit_denominator(10**6)
@@ -163,57 +138,29 @@ def _power(base, expo):
     return float(base) ** float(expo)
 
 
-def subtree_masses(prob: TreeProblem):
-    """S(x) = mu(Sh(x)) via one reverse-topological sweep."""
-    S = list(prob.mu)
-    for u in reversed(prob.topo):
-        q = prob.parent[u]
-        if q >= 0:
-            S[q] = S[q] + S[u]
-    return S
-
-
 def check_tree_condition(prob: TreeProblem, root: int = None):
     """Smallest C with
       sum_{x<=r} (mu(Sh(x)))^{p'} rho(x)^{1-p'} <= C sum_{x<=r} mu(x)
     for the given root r (all-r sup when root is None).
 
     Exact rationals whenever p' is an integer; otherwise the powers are
-    floats and sums run in ascending vertex order so the brute-force
-    oracle reproduces them bit-for-bit."""
+    floats and a single root's sum runs in ascending vertex order so the
+    brute-force oracle reproduces it bit-for-bit. The all-r sup takes every
+    left-hand side from one subtree sum of the per-vertex terms."""
     pp = prob.p_conjugate()
-    S = subtree_masses(prob)
-    n = len(S)
+    S = prob.forest.subtree_sums(prob.mu).tolist()
     term = [
-        _power(S[x], pp) * _power(prob.rho[x], 1 - pp) if S[x] != 0 else 0 * S[x]
-        for x in range(n)
+        _power(s, pp) * _power(w, 1 - pp) if s != 0 else 0 * s
+        for s, w in zip(S, prob.rho)
     ]
-    kids = prob.children()
-
-    def shadow_of(r):
-        mark = [False] * n
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            mark[u] = True
-            stack.extend(kids[u])
-        return mark
-
-    def constant(r):
-        if S[r] == 0:
-            return 0 * Fraction(1)
-        mark = shadow_of(r)
-        lhs = None
-        for x in range(n):
-            if mark[x]:
-                lhs = term[x] if lhs is None else lhs + term[x]
-        return lhs / S[r]
-
     if root is not None:
-        return constant(root)
+        if S[root] == 0:
+            return 0 * Fraction(1)
+        return sum(term[x] for x in prob.forest.subtree(root)) / S[root]
+    lhs = prob.forest.subtree_sums(term).tolist()
     best = None
-    for r in range(n):
-        c = constant(r)
+    for t, s in zip(lhs, S):
+        c = t / s if s != 0 else 0 * Fraction(1)
         best = c if best is None or c > best else best
     return best
 
@@ -256,48 +203,30 @@ def check_embedding(prob: TreeProblem, trials: int = 50, seed: int = 0) -> float
     p = float(prob.p)
     mu = np.asarray([float(m) for m in prob.mu])
     rho = np.asarray([float(r) for r in prob.rho])
-    kids = prob.children()
-
-    def primitive(h):
-        out = np.zeros(n)
-        stack = [(prob.root, 0.0)]
-        while stack:
-            u, acc = stack.pop()
-            acc = acc + h[u]
-            out[u] = acc
-            for v in kids[u]:
-                stack.append((v, acc))
-        return out
+    forest = prob.forest
 
     def ratio(h):
         hn = float(np.sum(rho * h**p)) ** (1 / p)
         if hn == 0:
             return 0.0
-        In = float(np.sum(mu * np.abs(primitive(h)) ** p)) ** (1 / p)
+        In = float(np.sum(mu * np.abs(forest.path_sums(h)) ** p)) ** (1 / p)
         return In / hn
 
     best = 0.0
     h = np.zeros(n)
     h[prob.root] = 1.0
     best = max(best, ratio(h))
-    S = np.asarray([float(s) for s in subtree_masses(prob)])
+    S = np.asarray([float(s) for s in forest.subtree_sums(prob.mu)])
     # geodesic indicators to the heaviest-shadow leaves
-    leaves = [u for u in range(n) if not kids[u]]
+    leaves = np.flatnonzero(forest.tout - forest.tin == 1).tolist()
     for y in sorted(leaves, key=lambda u: -S[u])[:20]:
         h = np.zeros(n)
-        u = y
-        while u >= 0:
-            h[u] = 1.0
-            u = prob.parent[u]
+        h[forest.path(y)] = 1.0
         best = max(best, ratio(h))
     # subtree indicators
     for x in sorted(range(n), key=lambda u: -S[u])[:20]:
         h = np.zeros(n)
-        stack = [x]
-        while stack:
-            u = stack.pop()
-            h[u] = 1.0
-            stack.extend(kids[u])
+        h[forest.subtree(x)] = 1.0
         best = max(best, ratio(h))
     # extremal profile matched to the condition's power weights
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -314,46 +243,20 @@ def check_embedding(prob: TreeProblem, trials: int = 50, seed: int = 0) -> float
 # whitney-forest conditions
 
 
-def window_tree_arrays(oc: OrientedCovering, k: int):
-    """(members, parent_index_array) of the canvas forest of window k,
-    with forest roots pointing at -1 (the formal zero-mass super-root)."""
-    members, fmap = oc.window_forest(k)
-    index = {m: i for i, m in enumerate(members)}
-    parent = [index[fmap[m]] if fmap[m] in index else -1 for m in members]
-    return members, parent
-
-
 def _forest_shadow_stats(oc, k, masses, p):
     """Per member: shadow mass S and shadow-condition numerator term sum."""
-    members, parent = window_tree_arrays(oc, k)
+    members = oc.window_members[k]
     if not members:
         return members, np.zeros(0), np.zeros(0)
+    forest = oc.canvas_forest(k)
     d = oc.cov.dim
     pp = p / (p - 1.0)
     mu = np.asarray([masses.get(m, 0.0) for m in members], dtype=float)
     sides = oc.cov.sides[members]
-    order = list(range(len(members)))
-    # reverse-topological: children before parents via repeated passes
-    depth = np.zeros(len(members), dtype=int)
-    for i, q in enumerate(parent):
-        u, dcount = i, 0
-        while q >= 0:
-            dcount += 1
-            u = q
-            q = parent[u]
-        depth[i] = dcount
-    order = np.argsort(-depth, kind="stable")
-    S = mu.copy()
-    for i in order:
-        if parent[i] >= 0:
-            S[parent[i]] += S[i]
+    S = forest.subtree_sums(mu)
     with np.errstate(divide="ignore"):
         term = np.where(S > 0, S**pp * sides ** ((d - p) * (1 - pp)), 0.0)
-    T = term.copy()
-    for i in order:
-        if parent[i] >= 0:
-            T[parent[i]] += T[i]
-    return members, S, T
+    return members, S, forest.subtree_sums(term)
 
 
 def check_shadow_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, P: int = None) -> dict:

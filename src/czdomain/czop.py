@@ -435,7 +435,6 @@ def grad_transform(kernel: Kernel, domain: Domain, f, x, order: int, sched: PVSc
             v, e = pv_at(off)
             val += c * v
             prop += abs(c) * e
-        scale = h ** (alpha[0]) * h ** (alpha[1])
         out[alpha] = val / h**order
         est = max(est, prop / h**order)
     return out, est

@@ -224,19 +224,6 @@ class Window:
         loc = self.to_local(points)
         return np.max(np.abs(loc), axis=1) <= frac * self.side / 2.0
 
-    def box_in_shrunk(self, lo, hi, frac: float) -> bool:
-        """Whether the whole axis-aligned box [lo, hi] lies in frac*Q."""
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        d = lo.size
-        corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(d)] for k in range(1 << d)])
-        return bool(np.all(self.in_shrunk_box(corners, frac)))
-
-    def graph_gap(self, points):
-        """Vertical gap y_d - A(y') in local coordinates (positive inside)."""
-        loc = self.to_local(points)
-        return loc[:, -1] - np.asarray(self.graph(loc[:, :-1]))
-
     def check_graph_lipschitz(self, n_samples: int = 200, rng=None) -> float:
         """Measured max slope |A(u)-A(v)|/|u-v| over sampled pairs."""
         rng = rng or np.random.default_rng(0)
@@ -297,14 +284,6 @@ class Domain:
     def window_side(self) -> float:
         raise NotImplementedError
 
-    def window_params(self) -> dict:
-        return {
-            "R": self.window_side,
-            "delta0": self.delta0,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-        }
-
     def bounding_box(self):
         raise NotImplementedError
 
@@ -322,14 +301,6 @@ class Domain:
 
     def dist_point(self, x) -> float:
         return float(self.dist_to_boundary(np.asarray(x, float)[None, :])[0])
-
-    def box_state(self, lo, hi) -> str:
-        """'inside' / 'outside' / 'cut' relative to the open domain."""
-        d = self.dist_box_to_boundary(lo, hi)
-        center = 0.5 * (np.asarray(lo, float) + np.asarray(hi, float))
-        if d > 0.0:
-            return "inside" if self.contains_point(center) else "outside"
-        return "cut"
 
 
 class Disk(Domain):
@@ -764,13 +735,22 @@ class GraphDomain(Domain):
         return super().dist_boxes_to_boundary(lo, hi)
 
     def area(self) -> float:
-        """Area of the covering-box region above the graph."""
+        """Area of the covering-box region above the graph, exact: the
+        integrand max(hi_y - max(h, lo_y), 0) is linear between the knots
+        and the points where h crosses lo_y or hi_y."""
         lo, hi = self.bounding_box()
         if self.dim != 2:
             raise NotImplementedError
-        xs = np.linspace(lo[0], hi[0], 4097)
-        h = np.maximum(self.height(xs[:, None]), lo[1])
-        return float(np.trapezoid(np.maximum(hi[1] - h, 0.0), xs))
+        pl = self.polyline
+        xs = np.concatenate([[lo[0], hi[0]], pl[(pl[:, 0] > lo[0]) & (pl[:, 0] < hi[0]), 0]])
+        for level in (lo[1], hi[1]):
+            x0, y0, x1, y1 = pl[:-1, 0], pl[:-1, 1], pl[1:, 0], pl[1:, 1]
+            cross = (y0 - level) * (y1 - level) < 0
+            t = (level - y0[cross]) / (y1[cross] - y0[cross])
+            xs = np.concatenate([xs, x0[cross] + t * (x1[cross] - x0[cross])])
+        xs = np.unique(np.clip(xs, lo[0], hi[0]))
+        g = np.clip(hi[1] - self.height(xs[:, None]), 0.0, hi[1] - lo[1])
+        return float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(xs)))
 
     def bounding_box(self):
         """Dyadic-aligned covering box containing the window.

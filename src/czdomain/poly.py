@@ -62,17 +62,6 @@ class Poly:
     def as_field(self) -> "PolyField":
         return PolyField(self)
 
-    def scaled(self, t: float) -> "Poly":
-        return Poly(self.center.copy(), {g: t * c for g, c in self.coeffs.items()})
-
-    def minus(self, other: "Poly") -> "Poly":
-        if not np.allclose(self.center, other.center):
-            raise ValueError("polynomials must share a center")
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0.0) - c
-        return Poly(self.center.copy(), out)
-
     def serialize(self) -> str:
         lines = ["center " + " ".join(repr(float(c)) for c in self.center)]
         for gamma in sorted(self.coeffs):

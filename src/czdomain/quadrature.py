@@ -46,12 +46,6 @@ def tensor_rule(lo, hi, order: int):
     return pts, w
 
 
-def box_integrate(func, lo, hi, order: int = 6):
-    """Integrate func(points)->values over the box [lo, hi]."""
-    pts, w = tensor_rule(lo, hi, order)
-    return np.sum(w * np.asarray(func(pts)))
-
-
 def gauss_log_radial(r0: float, r1: float, order: int = 12, panels_per_decade: float = 1.5):
     """Radial nodes/weights on [r0, r1] using Gauss panels in log r.
 
@@ -84,10 +78,6 @@ class QuadratureSpec:
 
     order: int = 6
 
-    def for_degree(self, degree: int) -> int:
-        """Order exact for polynomials up to `degree`."""
-        return max(self.order, degree // 2 + 1)
-
 
 def richardson(values, ratio: float = 0.5, order: int = 2):
     """Richardson-extrapolate a sequence I(eps_m) with eps_{m+1} = ratio*eps_m.
@@ -111,9 +101,3 @@ def richardson(values, ratio: float = 0.5, order: int = 2):
     else:
         est = abs(table[-1][-1] - table[-2][-1])
     return table[-1][-1], float(est), table
-
-
-def pairwise_sum(values):
-    """Deterministic pairwise summation of a 1-d array."""
-    arr = np.asarray(values)
-    return arr.sum()  # numpy sum is pairwise and order-deterministic

@@ -11,6 +11,7 @@ is guaranteed or merely checked.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,10 +136,6 @@ class Covering:
         self._neighbors = [sorted(s) for s in adj]
         return self._neighbors
 
-    def touching(self, i: int, k: int) -> bool:
-        ulo, uhi, _ = self._unit_coords()
-        return bool(np.all(ulo[i] <= uhi[k]) and np.all(ulo[k] <= uhi[i]))
-
     # -- gap distances -----------------------------------------------------
 
     def box_gap(self, i: int, others=None):
@@ -155,8 +152,6 @@ class Covering:
 
     def long_distance_row(self, i: int):
         return self.sides[i] + self.sides + self.box_gap(i)
-
-
 
 
 def select_tau(C_W: float, d: int) -> float:
@@ -278,20 +273,38 @@ def check_w6(cov: Covering, dilation: float = 10.0):
     Returns (per_scale_max, total_max): the per-scale count is the W6
     quantity with a depth-free bound; the total across scales necessarily
     grows with the number of levels and is reported, not asserted.
+
+    Counts are exact integer range counts: in units of half the finest side
+    every centre is an integer, and a level's cubes, sorted by index key,
+    are counted with one pair of searchsorted calls per offset along the
+    leading axes, over all centres at once. The box is closed.
     """
-    pts = cov.centers
-    half = 0.5 * dilation
+    shift = (cov.max_level - cov.levels).astype(np.int64)
+    pts = (2 * cov.indices + 1) << shift[:, None]
     per_scale = 0
-    total = np.zeros(len(pts), dtype=int)
+    total = np.zeros(len(pts), dtype=np.int64)
     for lev in np.unique(cov.levels):
-        sel = cov.levels == lev
-        c = cov.centers[sel]
-        s = cov.sides[sel][0]
-        cnt = np.zeros(len(pts), dtype=int)
-        for start in range(0, len(c), 512):
-            blk = c[start : start + 512]
-            inside = np.all(np.abs(pts[:, None, :] - blk[None, :, :]) <= half * s, axis=2)
-            cnt += inside.sum(axis=1)
+        idx = cov.indices[cov.levels == lev]
+        m = 1 << int(cov.max_level - lev)  # half the level's side
+        r = math.floor(dilation * m)  # |P - C| <= dilation * m, C = (2 idx + 1) m
+        lo = -((m + r - pts) // (2 * m))
+        hi = (pts + r - m) // (2 * m)
+        base = np.minimum(idx.min(axis=0), lo.min(axis=0))
+        width = np.maximum(idx.max(axis=0), hi.max(axis=0)) - base + 1
+        weight = np.cumprod(np.concatenate([width[1:], [1]])[::-1])[::-1]
+
+        def key(x):
+            return (x - base) @ weight
+
+        keys = np.sort(key(idx))
+        cnt = np.zeros(len(pts), dtype=np.int64)
+        span = np.maximum(hi - lo + 1, 0)[:, :-1].max(axis=0, initial=0)
+        for off in itertools.product(*(range(s) for s in span)):
+            lead = lo[:, :-1] + np.asarray(off, dtype=np.int64)
+            ok = np.all(lead <= hi[:, :-1], axis=1) & (lo[:, -1] <= hi[:, -1])
+            a = np.searchsorted(keys, key(np.column_stack([lead, lo[:, -1]])), side="left")
+            b = np.searchsorted(keys, key(np.column_stack([lead, hi[:, -1]])), side="right")
+            cnt += np.where(ok, b - a, 0)
         per_scale = max(per_scale, int(cnt.max()))
         total += cnt
     return per_scale, int(total.max())
@@ -349,6 +362,82 @@ def coverage_audit(cov: Covering, margin: float = 8.0, n_samples: int = 4096, se
         "deep_points": int(len(test)),
         "uncovered_deep_points": int(np.sum(~covered)),
     }
+
+
+# ---------------------------------------------------------------------------
+# forests
+
+
+class Forest:
+    """Rooted forest on vertices 0..n-1 given by a parent array (-1 at roots).
+
+    Built once: `levels` groups the vertices by depth, parents before
+    children, each parent's children contiguous and ascending; `depth` is
+    each vertex's level; the Euler tour visits children in ascending order,
+    so the subtree of v is the contiguous slice euler[tin[v]:tout[v]]. Every
+    tree sum and shadow in the package runs through this class."""
+
+    def __init__(self, parent):
+        parent = np.asarray(parent, dtype=np.int64).reshape(-1)
+        n = len(parent)
+        if np.any((parent < -1) | (parent >= n)):
+            raise ValueError("parent indices must lie in [-1, n)")
+        self.parent = parent
+        # children grouped by parent, ascending within a group: the children
+        # of q are by_parent[bounds[q + 1]:bounds[q + 2]], the roots come first
+        by_parent = np.argsort(parent, kind="stable")
+        bounds = np.searchsorted(parent[by_parent], np.arange(-1, n + 1))
+        self.levels = []
+        level = by_parent[: bounds[1]]
+        while len(level):
+            self.levels.append(level)
+            count = bounds[level + 2] - bounds[level + 1]
+            start = np.repeat(bounds[level + 1] - (np.cumsum(count) - count), count)
+            level = by_parent[start + np.arange(len(start))]
+        if sum(map(len, self.levels)) < n:
+            raise ValueError("parent array contains a cycle")
+        self.depth = np.empty(n, dtype=np.int64)
+        for d, level in enumerate(self.levels):
+            self.depth[level] = d
+        size = self.subtree_sums(np.ones(n, dtype=np.int64))
+        # preorder position: parent's position + 1 + sizes of earlier siblings
+        sizes = size[by_parent]
+        before = np.cumsum(sizes) - sizes
+        sibling_offset = np.empty(n, dtype=np.int64)
+        sibling_offset[by_parent] = before - before[bounds[parent[by_parent] + 1]]
+        self.tin = sibling_offset
+        for level in self.levels[1:]:
+            self.tin[level] += self.tin[parent[level]] + 1
+        self.tout = self.tin + size
+        self.euler = np.empty(n, dtype=np.int64)
+        self.euler[self.tin] = np.arange(n)
+
+    def subtree_sums(self, values):
+        """Sum of `values` over each vertex's subtree, itself included: one
+        np.add.at per level from the deepest up, so every parent adds its
+        children in ascending order. Exact for Fraction (object) values."""
+        out = np.array(values)
+        for level in reversed(self.levels[1:]):
+            np.add.at(out, self.parent[level], out[level])
+        return out
+
+    def path_sums(self, values):
+        """Sum of `values` over each vertex and its ancestors, top down."""
+        out = np.array(values)
+        for level in self.levels[1:]:
+            out[level] += out[self.parent[level]]
+        return out
+
+    def subtree(self, v: int):
+        """Vertices of the subtree of v (v included), ascending."""
+        return np.sort(self.euler[self.tin[v] : self.tout[v]])
+
+    def path(self, v: int):
+        """[v, parent(v), ..., root of v]."""
+        out = [int(v)]
+        while self.parent[out[-1]] >= 0:
+            out.append(int(self.parent[out[-1]]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +569,6 @@ class OrientedCovering:
         self.central_connected = bool(np.all(seen[central_pos]))
         if not self.central_connected:
             raise OrientationError("central cubes do not form a connected set")
-        self.bfs_parent = parent
-        self.bfs_depth = np.full(n, -1, dtype=int)
-        self.bfs_depth[self.root] = 0
-        for u in order[1:]:
-            self.bfs_depth[u] = self.bfs_depth[parent[u]] + 1
 
         # successor pointers: father in the assigned window, else BFS parent
         succ = np.full(n, -1, dtype=int)
@@ -495,23 +579,10 @@ class OrientedCovering:
             for i, f in zip(group, fathers):
                 succ[i] = f
         self.succ = succ
-        # guard against pointer cycles (mixed-frame pathologies)
-        state = np.zeros(n, dtype=int)
-        for i in range(n):
-            u, trail = i, []
-            while u != -1 and state[u] == 0:
-                state[u] = 1
-                trail.append(u)
-                u = int(succ[u])
-                if u != -1 and state[u] == 1:
-                    raise OrientationError("father chain contains a cycle")
-            for t in trail:
-                state[t] = 2
-
-        self.children = [[] for _ in range(n)]
-        for i in range(n):
-            if succ[i] >= 0:
-                self.children[int(succ[i])].append(i)
+        try:
+            self.forest = Forest(succ)  # the global successor tree
+        except ValueError:
+            raise OrientationError("father chain contains a cycle") from None
 
     # fathers and forests ----------------------------------------------------
 
@@ -557,26 +628,23 @@ class OrientedCovering:
             out.append(winner[m])
         return out
 
-    def father(self, i: int, k: int = None) -> int:
-        """Vertical father of cube i with respect to window k."""
-        if self.central[i]:
-            raise ValueError("central cubes have no vertical father")
-        if k is None:
-            k = int(self.assigned_window[i])
-        return int(self._batch_fathers([i], k)[0])
+    def canvas_forest(self, k: int) -> Forest:
+        """Forest of window k's canvas on the positions of window_members[k];
+        a member whose father lies outside the canvas is a root (attached to
+        the formal super-root, which carries zero mass and zero weight)."""
+        if k not in self._forest_cache:
+            members = self.window_members[k]
+            local = {m: v for v, m in enumerate(members)}
+            fathers = self._batch_fathers(members, k)
+            self._forest_cache[k] = Forest([local.get(f, -1) for f in fathers])
+        return self._forest_cache[k]
 
     def window_forest(self, k: int):
         """(members, father_map) of the canvas tree of window k; father_map
-        maps a member to its member-father or -1 (root attached to the
-        formal super-root, which carries zero mass and zero weight)."""
-        if k in self._forest_cache:
-            return self._forest_cache[k]
+        maps a member to its member-father or -1 (see canvas_forest)."""
         members = self.window_members[k]
-        member_set = set(members)
-        fathers = self._batch_fathers(members, k)
-        fmap = {m: (f if f in member_set else -1) for m, f in zip(members, fathers)}
-        self._forest_cache[k] = (members, fmap)
-        return members, fmap
+        parent = self.canvas_forest(k).parent.tolist()
+        return members, {m: (members[q] if q >= 0 else -1) for m, q in zip(members, parent)}
 
     def shadow(self, i: int, k: int = None):
         """Positions of {P : P <= Q} in the window forest (includes Q)."""
@@ -584,29 +652,18 @@ class OrientedCovering:
             k = int(self.assigned_window[i]) if not self.central[i] else -1
         if k < 0:
             raise ValueError("shadow requires a cube lying in a window canvas")
-        members, fmap = self.window_forest(k)
-        if i not in fmap:
+        members = self.window_members[k]
+        v = bisect.bisect_left(members, i)
+        if v == len(members) or members[v] != i:
             raise ValueError("cube is not a member of this window canvas")
-        kids = {}
-        for m, f in fmap.items():
-            kids.setdefault(f, []).append(m)
-        out = []
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(kids.get(u, []))
-        return sorted(out)
+        return [members[u] for u in self.canvas_forest(k).subtree(v)]
 
     # chains -----------------------------------------------------------------
 
     def anchored_path(self, i: int, k: int = None):
         """[Q, Q0]: ascend above-Q cubes in window k, then the BFS tree."""
         if self.central[i]:
-            path = [i]
-            while path[-1] != self.root:
-                path.append(int(self.bfs_parent[path[-1]]))
-            return path
+            return self.forest.path(i)  # central fathers are BFS parents
         if k is None:
             k = int(self.assigned_window[i])
         ck = (i, k)
@@ -637,8 +694,7 @@ class OrientedCovering:
                 raise OrientationError("no cube above during anchored ascent")
             path.append(best)
             cur = best
-        while path[-1] != self.root:
-            path.append(int(self.bfs_parent[path[-1]]))
+        path += self.forest.path(cur)[1:]
         self._anchored_cache[ck] = path
         return path
 
@@ -677,43 +733,13 @@ class OrientedCovering:
 
     # order ------------------------------------------------------------------
 
-    def tree_depths(self):
-        """Depth of each cube in the global successor tree (root = 0)."""
-        n = len(self.cov)
-        depth = np.full(n, -1, dtype=int)
-        for i in range(n):
-            trail = []
-            u = i
-            while u != -1 and depth[u] < 0:
-                trail.append(u)
-                u = int(self.succ[u])
-            base = depth[u] if u != -1 else -1
-            for v in reversed(trail):
-                base += 1
-                depth[v] = base
-        return depth
-
     def subtree_values(self, values):
         """For each cube, sum of `values` over its global-tree descendants
         (successor pointers), including itself."""
-        n = len(self.cov)
-        out = np.asarray(values, dtype=float).copy()
-        depth = self.tree_depths()
-        order = np.argsort(-depth, kind="stable")
-        for u in order:
-            s = int(self.succ[u])
-            if s >= 0:
-                out[s] += out[u]
-        return out
+        return self.forest.subtree_sums(np.asarray(values, dtype=float))
 
     def descendants(self, i: int):
-        out = []
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self.children[u])
-        return sorted(out)
+        return self.forest.subtree(i).tolist()
 
 
 def orient(cov: Covering, windows=None, delta0: float = None, delta2: float = None) -> OrientedCovering:

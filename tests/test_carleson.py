@@ -57,6 +57,16 @@ def test_random_trees_exact_equality():
             assert carleson.check_tree_condition(prob, r) == carleson.brute_force_tree_condition(prob, r)
 
 
+def test_all_roots_supremum_equals_oracle_maximum():
+    rng = np.random.default_rng(5)
+    for p in (1.5, 2.0):
+        for _ in range(10):
+            n = int(rng.integers(2, 60))
+            prob = carleson.TreeProblem(*random_tree(rng, n), p)
+            expect = max(carleson.brute_force_tree_condition(prob, r) for r in range(n))
+            assert carleson.check_tree_condition(prob) == expect
+
+
 def test_monotonicity_in_mu():
     rng = np.random.default_rng(1)
     parent, mu, rho = random_tree(rng, 60)
@@ -241,8 +251,9 @@ def test_continuous_condition_needs_oriented_window(square_oc):
                                                 cov.centers[corner_cube])
 
 
-def test_window_tree_arrays_structure(square_oc):
-    members, parent = carleson.window_tree_arrays(square_oc, 0)
+def test_window_forest_parent_structure(square_oc):
+    members = square_oc.window_members[0]
+    parent = square_oc.canvas_forest(0).parent.tolist()
     assert len(members) == len(parent)
     assert all(-1 <= q < len(members) for q in parent)
     assert sum(1 for q in parent if q == -1) >= 1

@@ -135,3 +135,13 @@ def test_disk_box_distance_exactness(disk):
         brute = np.min(np.abs(1.0 - np.hypot(X, Y)))
         assert exact <= brute + 1e-9
         assert brute <= exact + 0.02
+
+
+def test_graph_area_exact_across_lower_edge():
+    """h = -0.45 + 0.6 x left of 0 and -0.45 right of it; the box is
+    [-1, 1]^2 and h crosses its lower edge at x = -11/12, so the area is
+    2 (1/12) + int_{-11/12}^0 (1.45 - 0.6 x) dx + 1.45 = 307/96."""
+    dom = geometry.GraphDomain(delta=0.6, polyline=[(-2.5, -1.95), (0.0, -0.45), (2.5, -0.45)])
+    lo, hi = dom.bounding_box()
+    assert lo.tolist() == [-1.0, -1.0] and hi.tolist() == [1.0, 1.0]
+    assert dom.area() == pytest.approx(307 / 96, rel=1e-14)

@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,32 @@ def test_axioms_on_standard_domains(disk_oc, square_oc, zigzag05_oc):
         ok5, gap = whitney.check_w5(cov)
         assert ok4
         assert ok5, f"W5 level gap {gap}"
+
+
+def _w6_direct(cov, dilation):
+    """Direct W6 count: every cube centre against every same-level cube."""
+    pts = cov.centers
+    half = 0.5 * dilation
+    per_scale = 0
+    total = np.zeros(len(pts), dtype=int)
+    for lev in np.unique(cov.levels):
+        sel = cov.levels == lev
+        c = cov.centers[sel]
+        s = cov.sides[sel][0]
+        cnt = np.zeros(len(pts), dtype=int)
+        for start in range(0, len(c), 512):
+            blk = c[start : start + 512]
+            inside = np.all(np.abs(pts[:, None, :] - blk[None, :, :]) <= half * s, axis=2)
+            cnt += inside.sum(axis=1)
+        per_scale = max(per_scale, int(cnt.max()))
+        total += cnt
+    return per_scale, int(total.max())
+
+
+def test_w6_equals_direct_count(disk_oc, square_oc, zigzag05_oc):
+    for oc in (disk_oc, square_oc, zigzag05_oc):
+        for dilation in (2.0, 10.0):
+            assert whitney.check_w6(oc.cov, dilation) == _w6_direct(oc.cov, dilation)
 
 
 def test_square_area_audit(square):
@@ -426,3 +453,46 @@ def test_dump_load_roundtrip(tmp_path, zigzag05_oc):
     assert row["index"] == cov.cubes[10].index
     assert row["central"] == bool(zigzag05_oc.central[10])
     assert row["succ"] == int(zigzag05_oc.succ[10])
+
+
+def _ancestors(parent, y):
+    out = []
+    while y >= 0:
+        out.append(y)
+        y = parent[y]
+    return out
+
+
+def test_forest_matches_ancestor_walks():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(1, 120))
+        # random forest, relabelled so parents need not precede children
+        raw = [-1] + [int(rng.integers(-1, i)) for i in range(1, n)]
+        perm = rng.permutation(n)
+        parent = [-1] * n
+        for i, q in enumerate(raw):
+            parent[perm[i]] = int(perm[q]) if q >= 0 else -1
+        values = [Fraction(int(rng.integers(0, 20)), int(rng.integers(1, 9))) for _ in range(n)]
+        forest = whitney.Forest(parent)
+        expect = [Fraction(0)] * n
+        shadow = [set() for _ in range(n)]
+        for y in range(n):
+            for u in _ancestors(parent, y):
+                expect[u] += values[y]
+                shadow[u].add(y)
+        assert forest.subtree_sums(values).tolist() == expect
+        assert forest.path_sums(values).tolist() == [sum(values[u] for u in _ancestors(parent, y)) for y in range(n)]
+        for v in range(n):
+            assert forest.subtree(v).tolist() == sorted(shadow[v])
+            assert forest.path(v) == _ancestors(parent, v)
+            assert forest.depth[v] == len(_ancestors(parent, v)) - 1
+
+
+def test_forest_rejects_bad_parent_arrays():
+    with pytest.raises(ValueError):
+        whitney.Forest([1, 2, 0, -1])
+    with pytest.raises(ValueError):
+        whitney.Forest([-1, 1])
+    with pytest.raises(ValueError):
+        whitney.Forest([-1, 5])
