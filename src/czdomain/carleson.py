@@ -352,11 +352,9 @@ def check_continuous_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, 
         raise ValueError("continuous condition needs a properly oriented window")
 
     # local coordinates: boxes stay boxes
-    def to_loc(pts):
-        return (np.atleast_2d(pts) - win.center) @ win.rotation
-
-    loc_lo = np.minimum(to_loc(cov.lo), to_loc(cov.hi))
-    loc_hi = np.maximum(to_loc(cov.lo), to_loc(cov.hi))
+    corners = win.to_local(cov.lo), win.to_local(cov.hi)
+    loc_lo = np.minimum(*corners)
+    loc_hi = np.maximum(*corners)
     members = oc.window_members[k]
     masses = np.asarray([mu.get(m) for m in members])
     mlo = loc_lo[members]
@@ -373,7 +371,7 @@ def check_continuous_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, 
         hi = np.concatenate([xloc[:-1] + side / 2, [xloc[-1]]])
         return lo, hi
 
-    a_loc = to_loc(a_point)[0]
+    a_loc = win.to_local(a_point)[0]
     la = float(cov.sides[a_pos])
     alo, ahi = shadow_box(a_loc, la)
     rhs = box_mass(alo, ahi)

@@ -476,24 +476,6 @@ class BoundaryEngine:
                 lau[m] = lau.get(m, 0j) + c * rho ** (2 * k)
             self.laurent = lau
 
-    # contour part of -(1/pi) pv integral, holomorphic off the boundary
-    def _contour(self, z):
-        z = np.asarray(z, dtype=complex)
-        if isinstance(self.domain, Disk):
-            inside = np.abs(z) < self.domain.radius
-            out = np.zeros(z.shape, dtype=complex)
-            zi, zo = z[inside], z[~inside]
-            for m, L in self.laurent.items():
-                if m >= 1:
-                    out[inside] += -L * m * zi ** (m - 1)
-                elif m <= -1:
-                    out[~inside] += L * m * zo ** (m - 1)
-            return out
-        total = np.zeros(z.shape, dtype=complex)
-        for a, b in self.domain.edges():
-            total += self._edge_integral(complex(*a), complex(*b), z)
-        return total * (-1.0 / math.pi) * (1.0 / 2j)
-
     def _edge_poly(self, a, b):
         """F restricted to the edge as a polynomial in u = w - a."""
         e = b - a
@@ -536,20 +518,9 @@ class BoundaryEngine:
                 out += Gt * (zb ** (ex + 1) - za ** (ex + 1)) / (ex + 1)
         return out
 
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        val = self._contour(z)
-        if isinstance(self.domain, Disk):
-            inside = np.abs(z) < self.domain.radius
-        else:
-            pts = np.stack([z.real, z.imag], axis=-1)
-            inside = self.domain.contains(pts)
-        return val + np.where(inside, self.Fw(z), 0.0)
-
     def _contour_derivative(self, m: int, z):
-        """m-th z-derivative of the holomorphic contour part."""
-        if m == 0:
-            return self._contour(z)
+        """m-th z-derivative of the contour part of -(1/pi) pv integral,
+        holomorphic off the boundary."""
         if isinstance(self.domain, Disk):
             inside = np.abs(z) < self.domain.radius
             out = np.zeros(z.shape, dtype=complex)
@@ -585,6 +556,9 @@ class BoundaryEngine:
         else:
             inside = self.domain.contains(np.stack([z.real, z.imag], axis=-1))
         return hol + np.where(inside, loc, 0.0)
+
+    def value(self, z):
+        return self.partial((0, 0), z)
 
     def roundoff_estimate(self, z) -> float:
         scale = max(1.0, max(abs(c) for c in self.F.coeffs.values()))

@@ -88,9 +88,8 @@ class SeparableField(ScalarField):
 
 
 def _const_ladder(c, depth):
-    lad = [np.vectorize(lambda t, c=c: c, otypes=[float])]
-    zero = np.vectorize(lambda t: 0.0, otypes=[float])
-    return lad + [zero] * depth
+    lad = [lambda t, c=c: np.full(np.shape(t), c, dtype=float)]
+    return lad + [lambda t: np.zeros(np.shape(t))] * depth
 
 
 def _poly1d_ladder(coeffs, depth):

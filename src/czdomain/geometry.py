@@ -150,47 +150,6 @@ def boxes_polyline_distance(lo, hi, starts, ends):
     return out
 
 
-def polyline_box_distance(starts, ends, lo, hi) -> float:
-    """Exact min distance between a batch of segments and a box (vectorized).
-
-    starts/ends: (n, 2) arrays of segment endpoints.
-    """
-    P = np.atleast_2d(starts)
-    Q = np.atleast_2d(ends)
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    d = Q - P
-    t0 = np.zeros(P.shape[0])
-    t1 = np.ones(P.shape[0])
-    valid = np.ones(P.shape[0], dtype=bool)
-    for i in range(2):
-        par = np.abs(d[:, i]) < 1e-300
-        valid &= ~par | ((P[:, i] >= lo[i]) & (P[:, i] <= hi[i]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo[i] - P[:, i]) / d[:, i]
-            tb = (hi[i] - P[:, i]) / d[:, i]
-        swap = ta > tb
-        ta2 = np.where(swap, tb, ta)
-        tb2 = np.where(swap, ta, tb)
-        t0 = np.where(par, t0, np.maximum(t0, ta2))
-        t1 = np.where(par, t1, np.minimum(t1, tb2))
-    if np.any(valid & (t0 <= t1)):
-        return 0.0
-    # endpoint-to-box distances
-    gapP = np.maximum(np.maximum(lo - P, P - hi), 0.0)
-    gapQ = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
-    best = min(float(np.min(np.linalg.norm(gapP, axis=1))), float(np.min(np.linalg.norm(gapQ, axis=1))))
-    # corner-to-segment distances
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    dd = np.einsum("ij,ij->i", d, d)
-    dd = np.where(dd == 0.0, 1.0, dd)
-    for c in corners:
-        t = np.clip(((c - P) * d).sum(axis=1) / dd, 0.0, 1.0)
-        proj = P + t[:, None] * d
-        best = min(best, float(np.min(np.linalg.norm(c - proj, axis=1))))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # windows
 
@@ -515,8 +474,7 @@ class Polygon(Domain):
         return d
 
     def dist_box_to_boundary(self, lo, hi) -> float:
-        v = self.vertices
-        return polyline_box_distance(v, np.roll(v, -1, axis=0), lo, hi)
+        return float(self.dist_boxes_to_boundary(np.asarray(lo)[None, :], np.asarray(hi)[None, :])[0])
 
     def dist_boxes_to_boundary(self, lo, hi):
         v = self.vertices
@@ -718,8 +676,7 @@ class GraphDomain(Domain):
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         if self.dim == 2 and self.polyline is not None:
-            pl = self.polyline
-            return polyline_box_distance(pl[:-1], pl[1:], lo, hi)
+            return float(self.dist_boxes_to_boundary(lo[None, :], hi[None, :])[0])
         # certified bound via corner gaps (exact for half-space)
         d = lo.size
         corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(d)] for k in range(1 << d)])

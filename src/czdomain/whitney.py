@@ -317,13 +317,13 @@ def check_w7(oc: "OrientedCovering", n_lines: int = 64):
         members = oc.window_members[k]
         if not members:
             continue
-        t_int = oc._horizontal_intervals(members, k)
+        t_lo, t_hi, _, _ = oc._local_boxes(k, members)
         lines = np.linspace(-oc.R / 2, oc.R / 2, n_lines)
         levels = oc.cov.levels[members]
         for lev in np.unique(levels):
             sel = levels == lev
-            t0 = t_int[sel, 0][:, None]
-            t1 = t_int[sel, 1][:, None]
+            t0 = t_lo[sel, 0][:, None]
+            t1 = t_hi[sel, 0][:, None]
             cnt = np.sum((t0 < lines[None, :]) & (lines[None, :] < t1), axis=0)
             worst = max(worst, int(cnt.max()))
     return worst
@@ -457,89 +457,75 @@ class OrientedCovering:
         self.delta0 = delta0
         self.delta2 = delta2
         self.R = windows[0].side if windows else cov.domain.window_side
-        self._local_cache = {}
         self._forest_cache = {}
         self._anchored_cache = {}
         self._orient()
 
     # geometry helpers ------------------------------------------------------
 
-    def _corner_matrix(self):
+    def _local_boxes(self, k: int, cubes):
+        """Extents (t_lo, t_hi, y_lo, y_hi) of the cubes at the given
+        positions in the frame of window k, over their projected corners:
+        t_* are (m, d-1) horizontal, y_* are (m,) vertical."""
         cov = self.cov
         d = cov.dim
-        n = len(cov)
-        corners = np.empty((n, 1 << d, d))
-        for b, off in enumerate(itertools.product((0, 1), repeat=d)):
-            off = np.asarray(off, dtype=float)
-            corners[:, b, :] = cov.lo + off * cov.sides[:, None]
-        return corners
+        cubes = np.asarray(cubes, dtype=int)
+        offsets = np.array(list(itertools.product((0, 1), repeat=d)), dtype=float)
+        corners = cov.lo[cubes][:, None, :] + offsets * cov.sides[cubes][:, None, None]
+        loc = self.windows[k].to_local(corners.reshape(-1, d)).reshape(len(cubes), 1 << d, d)
+        t, y = loc[:, :, :-1], loc[:, :, -1]
+        return t.min(axis=1), t.max(axis=1), y.min(axis=1), y.max(axis=1)
 
-    def _local_extents(self, k: int):
-        """Per cube: horizontal interval(s) and vertical interval in window k."""
-        if k in self._local_cache:
-            return self._local_cache[k]
-        win = self.windows[k]
-        corners = self._corners
-        n = corners.shape[0]
-        flat = corners.reshape(-1, self.cov.dim)
-        loc = (flat - win.center) @ win.rotation
-        loc = loc.reshape(n, -1, self.cov.dim)
-        t_lo = loc[:, :, :-1].min(axis=1)
-        t_hi = loc[:, :, :-1].max(axis=1)
-        y_lo = loc[:, :, -1].min(axis=1)
-        y_hi = loc[:, :, -1].max(axis=1)
-        out = (t_lo, t_hi, y_lo, y_hi)
-        self._local_cache[k] = out
-        return out
-
-    def _horizontal_intervals(self, members, k):
-        t_lo, t_hi, _, _ = self._local_extents(k)
-        return np.stack([t_lo[members, 0], t_hi[members, 0]], axis=-1)
-
-    def _above(self, s: int, q: int, k: int) -> bool:
-        t_lo, t_hi, y_lo, y_hi = self._local_extents(k)
+    def _stacked(self, boxes, upper, lower):
+        """For rows of `boxes` (from _local_boxes): whether each upper box
+        lies above its lower box (horizontal overlap and a higher top, both
+        by more than 1e-12 R), and the measure of their horizontal overlap."""
+        t_lo, t_hi, _, y_hi = boxes
         tol = 1e-12 * self.R
-        overlap = np.minimum(t_hi[s], t_hi[q]) - np.maximum(t_lo[s], t_lo[q])
-        return bool(np.all(overlap > tol) and y_hi[s] > y_hi[q] + tol)
+        ov = np.minimum(t_hi[upper], t_hi[lower]) - np.maximum(t_lo[upper], t_lo[lower])
+        above = np.all(ov > tol, axis=1) & (y_hi[upper] > y_hi[lower] + tol)
+        return above, np.prod(np.maximum(ov, 0.0), axis=1)
 
-    def _overlap_measure(self, s: int, q: int, k: int) -> float:
-        t_lo, t_hi, _, _ = self._local_extents(k)
-        ov = np.minimum(t_hi[s], t_hi[q]) - np.maximum(t_lo[s], t_lo[q])
-        return float(np.prod(np.maximum(ov, 0.0)))
+    def _preference(self, cubes, score):
+        """np.lexsort keys ranking cubes by descending score, then ascending
+        (level, index)."""
+        idx = self.cov.indices[cubes]
+        return [idx[:, a] for a in range(idx.shape[1] - 1, -1, -1)] + [self.cov.levels[cubes], -score]
 
     # orientation proper ----------------------------------------------------
 
     def _orient(self):
         cov = self.cov
         n = len(cov)
-        self._corners = self._corner_matrix()
         dist_centers = cov.domain.dist_to_boundary(cov.centers)
         half_diam = 0.5 * math.sqrt(cov.dim) * cov.sides
         self.central = (dist_centers + half_diam) > self.delta2 * self.R
         peripheral = np.where(~self.central)[0]
 
-        # canvas membership per window
+        # one pass per window: canvas members, their fathers, and the
+        # successor of each cube in the first window whose canvas holds it
         self.window_members = []
+        self.canvas_fathers = []
         self.memberships = [[] for _ in range(n)]
         assigned = np.full(n, -1, dtype=int)
-        per_corners = self._corners[peripheral]
+        succ = np.full(n, -1, dtype=int)
         for k, win in enumerate(self.windows):
-            if len(peripheral):
-                flat = per_corners.reshape(-1, cov.dim)
-                loc = (flat - win.center) @ win.rotation
-                loc = loc.reshape(len(peripheral), -1, cov.dim)
-                ok = np.all(np.abs(loc).max(axis=1) <= self.delta0 * win.side / 2.0, axis=1)
-                members = peripheral[ok]
-            else:
-                members = np.array([], dtype=int)
-            self.window_members.append([int(m) for m in members])
-            for m in members:
-                self.memberships[int(m)].append(k)
-                if assigned[m] < 0:
-                    assigned[m] = k
+            # members: every corner in the window's box of half-side delta0 R/2
+            t_lo, t_hi, y_lo, y_hi = self._local_boxes(k, peripheral)
+            half = self.delta0 * win.side / 2.0
+            ok = np.all(np.maximum(-t_lo, t_hi) <= half, axis=1) & (np.maximum(-y_lo, y_hi) <= half)
+            members = peripheral[ok]
+            fathers = self._fathers(members, k)
+            self.window_members.append(members.tolist())
+            self.canvas_fathers.append(fathers)
+            for m in self.window_members[-1]:
+                self.memberships[m].append(k)
+            new = assigned[members] < 0
+            assigned[members[new]] = k
+            succ[members[new]] = fathers[new]
         self.assigned_window = assigned
-        bad = [int(i) for i in peripheral if assigned[i] < 0]
-        if bad:
+        bad = peripheral[assigned[peripheral] < 0]
+        if len(bad):
             raise OrientationError(
                 f"{len(bad)} peripheral cube(s) fit no window canvas (first: {cov.cubes[bad[0]].key()})"
             )
@@ -570,14 +556,17 @@ class OrientedCovering:
         if not self.central_connected:
             raise OrientationError("central cubes do not form a connected set")
 
+        # every canvas member needs a father, in whichever window it lies
+        for k, fathers in enumerate(self.canvas_fathers):
+            orphans = np.flatnonzero(fathers < 0)
+            if len(orphans) and len(orphans) == len(fathers):
+                raise OrientationError(f"no cube above any member of window {k}")
+            if len(orphans):
+                m = self.window_members[k][orphans[0]]
+                raise OrientationError(f"cube {cov.cubes[m].key()} has no cube above it in window {k}")
+
         # successor pointers: father in the assigned window, else BFS parent
-        succ = np.full(n, -1, dtype=int)
         succ[self.central] = parent[self.central]
-        for k in sorted(set(int(a) for a in assigned if a >= 0)):
-            group = [int(i) for i in peripheral if assigned[i] == k]
-            fathers = self._batch_fathers(group, k)
-            for i, f in zip(group, fathers):
-                succ[i] = f
         self.succ = succ
         try:
             self.forest = Forest(succ)  # the global successor tree
@@ -586,46 +575,24 @@ class OrientedCovering:
 
     # fathers and forests ----------------------------------------------------
 
-    def _batch_fathers(self, members, k: int):
-        """Vertical father (position in the full covering) for each member
-        cube with respect to window k: the neighbor above with maximal
-        horizontal overlap, exact-float ties broken by (level, index)."""
-        if not members:
-            return []
-        cov = self.cov
-        adj = cov.neighbors()
-        t_lo, t_hi, y_lo, y_hi = self._local_extents(k)
-        tol = 1e-12 * self.R
-        src, dst = [], []
-        for m in members:
-            for v in adj[m]:
-                src.append(m)
-                dst.append(v)
-        src = np.asarray(src, dtype=int)
-        dst = np.asarray(dst, dtype=int)
-        ov = np.minimum(t_hi[dst], t_hi[src]) - np.maximum(t_lo[dst], t_lo[src])
-        above = np.all(ov > tol, axis=1) & (y_hi[dst] > y_hi[src] + tol)
-        measure = np.prod(np.maximum(ov, 0.0), axis=1)
-        src_a = src[above]
-        dst_a = dst[above]
-        meas_a = measure[above]
-        if len(src_a) == 0:
-            raise OrientationError(f"no cube above any member of window {k}")
-        lev = cov.levels[dst_a]
-        idx = cov.indices[dst_a]
-        keys = [idx[:, a] for a in range(idx.shape[1] - 1, -1, -1)] + [lev, -meas_a, src_a]
-        order = np.lexsort(keys)
-        src_sorted = src_a[order]
-        first = np.unique(src_sorted, return_index=True)[1]
-        winner = {int(src_sorted[t]): int(dst_a[order][t]) for t in first}
-        out = []
-        missing = [m for m in members if m not in winner]
-        if missing:
-            raise OrientationError(
-                f"cube {cov.cubes[missing[0]].key()} has no cube above it in window {k}"
-            )
-        for m in members:
-            out.append(winner[m])
+    def _fathers(self, members, k: int):
+        """Vertical father (position in the full covering) of each member of
+        window k's canvas, members ascending: the neighbor above with maximal
+        horizontal overlap, exact-float ties broken by (level, index); -1
+        where no neighbor lies above."""
+        adj = self.cov.neighbors()
+        src = np.repeat(members, [len(adj[m]) for m in members])
+        dst = np.array([v for m in members for v in adj[m]], dtype=int)
+        nodes = np.union1d(members, dst)
+        boxes = self._local_boxes(k, nodes)
+        above, measure = self._stacked(boxes, np.searchsorted(nodes, dst), np.searchsorted(nodes, src))
+        src, dst, measure = src[above], dst[above], measure[above]
+        order = np.lexsort(self._preference(dst, measure) + [src])
+        src, dst = src[order], dst[order]
+        lead = np.ones(len(src), dtype=bool)
+        lead[1:] = src[1:] != src[:-1]
+        out = np.full(len(members), -1, dtype=int)
+        out[np.searchsorted(members, src[lead])] = dst[lead]
         return out
 
     def canvas_forest(self, k: int) -> Forest:
@@ -633,10 +600,11 @@ class OrientedCovering:
         a member whose father lies outside the canvas is a root (attached to
         the formal super-root, which carries zero mass and zero weight)."""
         if k not in self._forest_cache:
-            members = self.window_members[k]
-            local = {m: v for v, m in enumerate(members)}
-            fathers = self._batch_fathers(members, k)
-            self._forest_cache[k] = Forest([local.get(f, -1) for f in fathers])
+            members = np.asarray(self.window_members[k], dtype=int)
+            fathers = self.canvas_fathers[k]
+            v = np.searchsorted(members, fathers)
+            inside = members[np.minimum(v, len(members) - 1)] == fathers
+            self._forest_cache[k] = Forest(np.where(inside, v, -1))
         return self._forest_cache[k]
 
     def window_forest(self, k: int):
@@ -669,31 +637,24 @@ class OrientedCovering:
         ck = (i, k)
         if ck in self._anchored_cache:
             return self._anchored_cache[ck]
-        t_lo, t_hi, y_lo, y_hi = self._local_extents(k)
         tol = 1e-12 * self.R
         path = [i]
         cur = i
-        guard = 0
         while not self.central[cur]:
-            guard += 1
-            if guard > len(self.cov):
+            if len(path) > len(self.cov):
                 raise OrientationError("anchored ascent failed to reach a central cube")
-            best, best_ov, best_key = -1, -1.0, None
-            for v in self.cov.neighbors()[cur]:
-                if not self._above(v, cur, k):
-                    continue
-                # prefer overlap with the anchor cube Q, then with the current
-                ov_anchor = np.minimum(t_hi[v], t_hi[i]) - np.maximum(t_lo[v], t_lo[i])
-                ov = float(np.prod(np.maximum(ov_anchor, 0.0)))
-                if ov <= tol:
-                    ov = 1e-9 * self._overlap_measure(v, cur, k)
-                key = (int(self.cov.levels[v]),) + tuple(self.cov.indices[v])
-                if ov > best_ov or (ov == best_ov and (best_key is None or key < best_key)):
-                    best, best_ov, best_key = v, ov, key
-            if best < 0:
+            nbrs = np.asarray(self.cov.neighbors()[cur], dtype=int)
+            boxes = self._local_boxes(k, np.concatenate([[i, cur], nbrs]))
+            rows = np.arange(2, len(nbrs) + 2)
+            above, ov_cur = self._stacked(boxes, rows, 1)
+            # prefer overlap with the anchor cube Q, then with the current
+            ov = self._stacked(boxes, rows, 0)[1]
+            ov = np.where(ov <= tol, 1e-9 * ov_cur, ov)
+            cand = nbrs[above]
+            if not len(cand):
                 raise OrientationError("no cube above during anchored ascent")
-            path.append(best)
-            cur = best
+            cur = int(cand[np.lexsort(self._preference(cand, ov[above]))[0]])
+            path.append(cur)
         path += self.forest.path(cur)[1:]
         self._anchored_cache[ck] = path
         return path
@@ -855,16 +816,12 @@ def dump_covering(oc: OrientedCovering, path: str):
     """One cube per line: level, index, central flag, successor id, assigned
     window, canvas memberships."""
     cov = oc.cov
-    inv_members = [[] for _ in range(len(cov))]
-    for k, mem in enumerate(oc.window_members):
-        for m in mem:
-            inv_members[m].append(k)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# whitney-covering v1 dim={cov.dim} base={cov.base!r} "
                  f"C_W={cov.C_W!r} tau={cov.tau!r} min_side={cov.min_side!r}\n")
         for i, c in enumerate(cov.cubes):
             idx = ",".join(str(v) for v in c.index)
-            wins = ",".join(str(k) for k in inv_members[i]) or "-"
+            wins = ",".join(str(k) for k in oc.memberships[i]) or "-"
             fh.write(f"{c.level} {idx} {int(oc.central[i])} {int(oc.succ[i])} "
                      f"{int(oc.assigned_window[i])} {wins}\n")
 

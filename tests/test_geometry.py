@@ -123,18 +123,23 @@ def test_segment_box_distance_against_bruteforce():
         assert batch == pytest.approx(exact, abs=1e-12)
 
 
-def test_disk_box_distance_exactness(disk):
+def test_disk_box_distance_exactness(disk, square, zigzag05):
+    """Single-box distances of the disk, a polygon and a zigzag graph
+    against the boundary distance of a dense grid over the box."""
     rng = np.random.default_rng(2)
-    for _ in range(60):
-        lo = rng.uniform(-1.4, 1.2, 2)
-        hi = lo + rng.uniform(0.01, 0.6, 2)
-        exact = disk.dist_box_to_boundary(lo, hi)
-        xs = np.linspace(lo[0], hi[0], 80)
-        ys = np.linspace(lo[1], hi[1], 80)
-        X, Y = np.meshgrid(xs, ys)
-        brute = np.min(np.abs(1.0 - np.hypot(X, Y)))
-        assert exact <= brute + 1e-9
-        assert brute <= exact + 0.02
+    for dom in (disk, square, zigzag05):
+        lo_bb, hi_bb = dom.bounding_box()
+        ext = float(np.max(hi_bb - lo_bb))
+        for _ in range(60):
+            lo = rng.uniform(lo_bb - 0.2 * ext, hi_bb)
+            hi = lo + rng.uniform(0.005, 0.3, 2) * ext
+            exact = dom.dist_box_to_boundary(lo, hi)
+            xs = np.linspace(lo[0], hi[0], 80)
+            ys = np.linspace(lo[1], hi[1], 80)
+            X, Y = np.meshgrid(xs, ys)
+            brute = np.min(dom.dist_to_boundary(np.column_stack([X.ravel(), Y.ravel()])))
+            assert exact <= brute + 1e-9
+            assert brute <= exact + 0.01 * ext
 
 
 def test_graph_area_exact_across_lower_edge():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -177,7 +178,7 @@ def test_canvas_chain_classification(zigzag05_oc):
         if k is None:
             continue
         ch = oc.chain(q, s)
-        t_lo, t_hi, y_lo, y_hi = oc._local_extents(k)
+        t_lo, t_hi, y_lo, y_hi = oc._local_boxes(k, np.arange(len(oc.cov)))
         for m in ch[1:-1]:
             if oc.central[m]:
                 continue
@@ -202,11 +203,85 @@ def test_vertical_projection_overlap_for_order(square_oc):
         s = fmap.get(int(q), -1)
         if s < 0:
             continue
-        t_lo, t_hi, _, _ = oc._local_extents(k)
+        t_lo, t_hi, _, _ = oc._local_boxes(k, np.arange(len(oc.cov)))
         overlap = np.minimum(t_hi[s], t_hi[int(q)]) - np.maximum(t_lo[s], t_lo[int(q)])
         assert np.all(overlap > 0)
         count += 1
     assert count > 10
+
+
+def _scan_box(cov, win, m):
+    """Horizontal extents and top of cube m in the frame of `win`, from
+    Window.to_local of its corners."""
+    offsets = np.array(list(itertools.product((0, 1), repeat=cov.dim)), dtype=float)
+    loc = win.to_local(cov.lo[m] + offsets * cov.sides[m])
+    return loc[:, :-1].min(axis=0), loc[:, :-1].max(axis=0), loc[:, -1].max()
+
+
+def _rank(cov, v, score):
+    return (-score, int(cov.levels[v])) + tuple(int(a) for a in cov.indices[v])
+
+
+def test_fathers_match_neighbor_scan(disk_oc, square_oc, zigzag05_oc):
+    """Canvas fathers against a scan of one neighbour at a time: the
+    neighbour above with the largest horizontal overlap, ties broken by
+    (level, index)."""
+    for oc in (disk_oc, square_oc, zigzag05_oc):
+        cov = oc.cov
+        adj = cov.neighbors()
+        tol = 1e-12 * oc.R
+        checked = 0
+        for k in range(0, len(oc.windows), 40):
+            members, fmap = oc.window_forest(k)
+            for m in members:
+                t_lo, t_hi, top = _scan_box(cov, oc.windows[k], m)
+                best, best_key = -1, None
+                for v in adj[m]:
+                    s_lo, s_hi, s_top = _scan_box(cov, oc.windows[k], v)
+                    ov = np.minimum(s_hi, t_hi) - np.maximum(s_lo, t_lo)
+                    if np.all(ov > tol) and s_top > top + tol:
+                        key = _rank(cov, v, float(np.prod(ov)))
+                        if best_key is None or key < best_key:
+                            best, best_key = v, key
+                assert best >= 0
+                assert fmap[m] == (best if best in fmap else -1)
+                if oc.assigned_window[m] == k:
+                    assert oc.succ[m] == best
+                checked += 1
+        assert checked > 100
+
+
+def test_anchored_path_matches_neighbor_scan(square):
+    """Anchored ascents against a scan of one neighbour at a time: among the
+    neighbours above the current cube, the largest overlap with Q (1e-9
+    times the overlap with the current cube where Q's is within 1e-12 R of
+    zero), ties broken by (level, index). The square at depth 8 has exact
+    ties that decide some paths."""
+    cov = whitney.build_covering(square, min_side=2.0**-8, C_W=1.125)
+    oc = whitney.orient(cov)
+    adj = cov.neighbors()
+    tol = 1e-12 * oc.R
+    rng = np.random.default_rng(4)
+    for q in rng.choice(np.flatnonzero(~oc.central), size=150, replace=False).tolist():
+        win = oc.windows[oc.assigned_window[q]]
+        q_lo, q_hi, _ = _scan_box(cov, win, q)
+        path = [q]
+        while not oc.central[path[-1]]:
+            c_lo, c_hi, c_top = _scan_box(cov, win, path[-1])
+            best, best_key = -1, None
+            for v in adj[path[-1]]:
+                lo, hi, top = _scan_box(cov, win, v)
+                ov_cur = np.minimum(hi, c_hi) - np.maximum(lo, c_lo)
+                if not (np.all(ov_cur > tol) and top > c_top + tol):
+                    continue
+                ov = float(np.prod(np.maximum(np.minimum(hi, q_hi) - np.maximum(lo, q_lo), 0.0)))
+                if ov <= tol:
+                    ov = 1e-9 * float(np.prod(np.maximum(ov_cur, 0.0)))
+                if best_key is None or _rank(cov, v, ov) < best_key:
+                    best, best_key = v, _rank(cov, v, ov)
+            assert best >= 0
+            path.append(best)
+        assert oc.anchored_path(q)[: len(path)] == path
 
 
 def test_shadow_leaf_and_downward_closure(zigzag05_oc):
