@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .czop import BoundaryEngine, CPoly, Kernel, grad_total, grad_transform
+from .czop import BoundaryEngine, CPoly, Kernel
 from .geometry import Disk, Polygon
-from .quadrature import tensor_rule
+from .quadrature import CUBE_ORDER, tensor_rule
 from .whitney import Forest, OrientedCovering
 
 
@@ -37,61 +37,47 @@ class CubeMeasure:
         return float(self.mass.get(pos, 0.0))
 
 
-def cube_measure(oc: OrientedCovering, kernel: Kernel, lam, n: int, p: float,
-                 quad_order: int = 6, cubes: str = "canvas", method: str = "auto") -> CubeMeasure:
-    """mu_lam(Q) = int_Q |grad^n T_Omega P_lam|^p dx per Whitney cube.
+def cube_measure(oc: OrientedCovering, kernel: Kernel, lam, n: int, p: float) -> CubeMeasure:
+    """mu_lam(Q) = int_Q |grad^n T_Omega P_lam|^p dx per canvas cube.
 
-    Cubes with a quadrature-budget violation are flagged in .flagged, not
-    dropped. The gradient comes from the contour route on disk/polygon
-    domains and from PV finite differences elsewhere."""
+    The gradient comes from the contour route, so the domain must be a
+    disk or a polygon. Each mass is taken at Gauss orders CUBE_ORDER and
+    CUBE_ORDER - 2; cubes where the two differ by more than 5% are flagged
+    in .flagged, not dropped."""
     if sum(lam) >= n:
         raise ValueError(f"need |lambda| < n, got lambda={lam}, n={n}")
     if kernel.order < n:
         raise ValueError("kernel order too small for the requested gradient")
     cov = oc.cov
-    if cubes == "canvas":
-        sel = sorted({m for mem in oc.window_members for m in mem})
-    else:
-        sel = list(range(len(cov)))
-    dom = cov.domain
+    sel = np.array(sorted({m for mem in oc.window_members for m in mem}), dtype=int)
     if kernel.name == "zero":
         cm = CubeMeasure({int(i): 0.0 for i in sel})
         cm.flagged = []
         return cm
+    dom = cov.domain
     if not isinstance(dom, (Disk, Polygon)):
         raise NotImplementedError("cube_measure needs a disk or polygon domain (transform routes)")
-    use_contour = method == "contour" or method == "auto"
+    eng = BoundaryEngine(dom, CPoly({tuple(lam): 1.0}))
+    results = {}
+    for order, tag in ((CUBE_ORDER, "hi"), (CUBE_ORDER - 2, "lo")):
+        ref, refw = tensor_rule(np.zeros(2), np.ones(2), order)
+        vals = np.empty(len(sel))
+        chunk = 20000 // len(refw)
+        for start in range(0, len(sel), chunk):
+            blk = sel[start : start + chunk]
+            pts = cov.lo[blk][:, None, :] + cov.sides[blk][:, None, None] * ref[None, :, :]
+            w = cov.sides[blk][:, None] ** 2 * refw[None, :]
+            z = (pts[..., 0] + 1j * pts[..., 1]).ravel()
+            tot = eng.gradient_total(n, z).reshape(pts.shape[:2])
+            vals[start : start + chunk] = np.sum(w * tot**p, axis=1)
+        results[tag] = vals
+    hi_vals, lo_vals = results["hi"], results["lo"]
     masses = {}
     flagged = []
-    if use_contour:
-        eng = BoundaryEngine(dom, CPoly({tuple(lam): 1.0}))
-        sel_arr = np.asarray(sel, dtype=int)
-        results = {}
-        for order, tag in ((quad_order, "hi"), (max(2, quad_order - 2), "lo")):
-            ref, refw = tensor_rule(np.zeros(2), np.ones(2), order)
-            vals = np.empty(len(sel_arr))
-            chunk = max(1, 20000 // max(1, len(refw)))
-            for start in range(0, len(sel_arr), chunk):
-                blk = sel_arr[start : start + chunk]
-                pts = cov.lo[blk][:, None, :] + cov.sides[blk][:, None, None] * ref[None, :, :]
-                w = cov.sides[blk][:, None] ** 2 * refw[None, :]
-                z = (pts[..., 0] + 1j * pts[..., 1]).ravel()
-                tot = eng.gradient_total(n, z).reshape(pts.shape[:2])
-                vals[start : start + chunk] = np.sum(w * tot**p, axis=1)
-            results[tag] = vals
-        hi_vals, lo_vals = results["hi"], results["lo"]
-        for t, i in enumerate(sel_arr):
-            masses[int(i)] = float(hi_vals[t])
-            if abs(hi_vals[t] - lo_vals[t]) > 0.05 * abs(hi_vals[t]) + 1e-14:
-                flagged.append(int(i))
-    else:
-        for i in sel:
-            pts, w = tensor_rule(cov.lo[i], cov.hi[i], max(2, quad_order - 3))
-            vals = []
-            for x in pts:
-                partials, _ = grad_transform(kernel, dom, CPoly({tuple(lam): 1.0}), x, n)
-                vals.append(grad_total(partials))
-            masses[int(i)] = float(np.sum(w * np.asarray(vals) ** p))
+    for t, i in enumerate(sel):
+        masses[int(i)] = float(hi_vals[t])
+        if abs(hi_vals[t] - lo_vals[t]) > 0.05 * abs(hi_vals[t]) + 1e-14:
+            flagged.append(int(i))
     cm = CubeMeasure(masses)
     cm.flagged = flagged
     return cm

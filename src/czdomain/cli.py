@@ -324,7 +324,6 @@ def _verify_trees(seed: int) -> dict:
 
 def _verify_projection(seed: int) -> dict:
     from .poly import moment_residuals, project
-    from .quadrature import QuadratureSpec
 
     rng = np.random.default_rng(seed + 3)
 
@@ -338,7 +337,7 @@ def _verify_projection(seed: int) -> dict:
         n = int(rng.integers(1, 5))
         f = fields.random_polynomial_field(rng, 2, n - 1)
         cube = Box(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 1.0)))
-        pr = project(f, cube, n, QuadratureSpec())
+        pr = project(f, cube, n)
         worst = max(worst, moment_residuals(f, pr, cube, n))
     return {"projection_residual": worst, "projection_ok": worst < 1e-10}
 
@@ -423,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--kernel", default="beurling")
     k.add_argument("--n", type=int, default=1)
     k.add_argument("--p", type=float, default=2.0)
-    k.add_argument("--suite", default="default")
     k.add_argument("--depths", default="6,7")
     k.add_argument("--cw", type=float, default=1.125)
     k.add_argument("--out")

@@ -131,36 +131,49 @@ class CPoly:
     @staticmethod
     def from_real_poly(p: Poly) -> "CPoly":
         """Expand sum m_gamma (x - x0)^gamma into absolute (z, zbar) powers."""
-        if p.dim != 2:
-            raise ValueError("complex conversion needs d = 2")
-        x0, y0 = float(p.center[0]), float(p.center[1])
-        z0 = complex(x0, y0)
-        out = {}
-        for (g1, g2), m in p.coeffs.items():
-            # (x - x0) = (u + ubar)/2, (y - y0) = (u - ubar)/(2i), u = z - z0
-            for a in range(g1 + 1):
-                for b in range(g2 + 1):
-                    c = (
-                        m
-                        * math.comb(g1, a)
-                        * math.comb(g2, b)
-                        * (0.5**g1)
-                        * ((1 / 2j) ** g2)
-                        * ((-1.0) ** (g2 - b))
-                    )
-                    ju, ku = a + b, (g1 - a) + (g2 - b)
-                    # expand u^ju ubar^ku = (z - z0)^ju (zbar - conj z0)^ku
-                    for r in range(ju + 1):
-                        for s in range(ku + 1):
-                            cc = (
-                                c
-                                * math.comb(ju, r)
-                                * math.comb(ku, s)
-                                * (-z0) ** (ju - r)
-                                * (-z0.conjugate()) ** (ku - s)
-                            )
-                            out[(r, s)] = out.get((r, s), 0j) + cc
-        return CPoly(out)
+        degrees = list(p.coeffs)
+        coeffs = np.array([[p.coeffs[g] for g in degrees]], dtype=float)
+        pairs, out = taylor_to_zzbar(p.center[None, :], degrees, coeffs)
+        return CPoly(dict(zip(pairs, out[0].tolist())))
+
+
+def taylor_to_zzbar(centers, degrees, coeffs):
+    """Absolute z^r zbar^s coefficients of the real polynomials
+    sum_k coeffs[i, k] (x - centers[i])^degrees[k], one row per center:
+    (pairs, out) with out[i, t] the coefficient of z^r zbar^s, (r, s) = pairs[t]."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.shape[1] != 2:
+        raise ValueError("complex conversion needs d = 2")
+    top = max((sum(g) for g in degrees), default=0)
+    pairs = [(r, s) for r in range(top + 1) for s in range(top + 1 - r)]
+    column = {rs: t for t, rs in enumerate(pairs)}
+    nz0 = -(centers[:, 0] + 1j * centers[:, 1])
+    out = np.zeros((len(centers), len(pairs)), dtype=complex)
+    for k, (g1, g2) in enumerate(degrees):
+        m = coeffs[:, k]
+        # (x - x0) = (u + ubar)/2, (y - y0) = (u - ubar)/(2i), u = z - z0
+        for a in range(g1 + 1):
+            for b in range(g2 + 1):
+                c = (
+                    m
+                    * math.comb(g1, a)
+                    * math.comb(g2, b)
+                    * (0.5**g1)
+                    * ((1 / 2j) ** g2)
+                    * ((-1.0) ** (g2 - b))
+                )
+                ju, ku = a + b, (g1 - a) + (g2 - b)
+                # expand u^ju ubar^ku = (z - z0)^ju (zbar - conj z0)^ku
+                for r in range(ju + 1):
+                    for s in range(ku + 1):
+                        out[:, column[r, s]] += (
+                            c
+                            * math.comb(ju, r)
+                            * math.comb(ku, s)
+                            * nz0 ** (ju - r)
+                            * nz0.conj() ** (ku - s)
+                        )
+    return pairs, out
 
 
 def _add(c1, c2):

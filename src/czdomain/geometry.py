@@ -233,7 +233,8 @@ class Domain:
     def dist_to_boundary(self, points):
         raise NotImplementedError
 
-    def dist_box_to_boundary(self, lo, hi) -> float:
+    def dist_boxes_to_boundary(self, lo, hi):
+        """Distance from each box [lo[i], hi[i]] to the boundary, (m, d) corner arrays."""
         raise NotImplementedError
 
     def windows(self):
@@ -248,12 +249,6 @@ class Domain:
 
     def boundary_samples(self, spacing: float):
         raise NotImplementedError
-
-    def dist_boxes_to_boundary(self, lo, hi):
-        """Vectorized dist_box_to_boundary over (m, d) box corner arrays."""
-        lo = np.atleast_2d(lo)
-        hi = np.atleast_2d(hi)
-        return np.array([self.dist_box_to_boundary(lo[i], hi[i]) for i in range(lo.shape[0])])
 
     def contains_point(self, x) -> bool:
         return bool(self.contains(np.asarray(x, float)[None, :])[0])
@@ -286,9 +281,6 @@ class Disk(Domain):
     def dist_to_boundary(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.abs(self.radius - np.linalg.norm(pts - self.center, axis=1))
-
-    def dist_box_to_boundary(self, lo, hi) -> float:
-        return float(self.dist_boxes_to_boundary(np.asarray(lo)[None, :], np.asarray(hi)[None, :])[0])
 
     def dist_boxes_to_boundary(self, lo, hi):
         lo = np.atleast_2d(lo)
@@ -472,9 +464,6 @@ class Polygon(Domain):
         for a, b in self.edges():
             d = np.minimum(d, points_segment_distance(pts, a, b))
         return d
-
-    def dist_box_to_boundary(self, lo, hi) -> float:
-        return float(self.dist_boxes_to_boundary(np.asarray(lo)[None, :], np.asarray(hi)[None, :])[0])
 
     def dist_boxes_to_boundary(self, lo, hi):
         v = self.vertices
@@ -672,24 +661,19 @@ class GraphDomain(Domain):
         gap = np.abs(pts[:, -1] - self.height(pts[:, :-1]))
         return gap / math.sqrt(1.0 + self.delta**2)
 
-    def dist_box_to_boundary(self, lo, hi) -> float:
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        if self.dim == 2 and self.polyline is not None:
-            return float(self.dist_boxes_to_boundary(lo[None, :], hi[None, :])[0])
-        # certified bound via corner gaps (exact for half-space)
-        d = lo.size
-        corners = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(d)] for k in range(1 << d)])
-        gaps = corners[:, -1] - self.height(corners[:, :-1])
-        if np.any(gaps <= 0) and np.any(gaps >= 0):
-            return 0.0
-        return float(np.min(np.abs(gaps))) / math.sqrt(1.0 + self.delta**2)
-
     def dist_boxes_to_boundary(self, lo, hi):
-        if self.dim == 2 and self.polyline is not None:
+        if self.polyline is not None:
             pl = self.polyline
             return boxes_polyline_distance(lo, hi, pl[:-1], pl[1:])
-        return super().dist_boxes_to_boundary(lo, hi)
+        # certified bound via corner gaps (exact for half-space)
+        lo = np.atleast_2d(np.asarray(lo, float))
+        hi = np.atleast_2d(np.asarray(hi, float))
+        m, d = lo.shape
+        upper = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+        corners = np.where(upper, hi[:, None, :], lo[:, None, :])
+        gaps = corners[..., -1] - self.height(corners[..., :-1].reshape(-1, d - 1)).reshape(m, -1)
+        straddles = np.any(gaps <= 0, axis=1) & np.any(gaps >= 0, axis=1)
+        return np.where(straddles, 0.0, np.min(np.abs(gaps), axis=1) / math.sqrt(1.0 + self.delta**2))
 
     def area(self) -> float:
         """Area of the covering-box region above the graph, exact: the

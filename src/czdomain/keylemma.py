@@ -1,10 +1,11 @@
 """Sobolev norms, the key equivalence sum and Whitney averaging.
 
 keylemma_sum evaluates sum_Q ||grad^n T_Omega(P_{3Q} f)||_{L^p(Q)}^p by
-expanding each cube's approximating polynomial in the monomial basis
+expanding every cube's approximating polynomial in the monomial basis
 z^j zbar^k (j + k <= n-1): the transform is linear in the data, so the
 gradients of the basis transforms are evaluated once at every cube node
-and the per-cube assembly is a small matrix product.
+(TransformPartialTable), and the sum is one contraction of the
+(cubes x basis) coefficient array with that table for each derivative.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 import numpy as np
 
 from . import fields
-from .czop import BoundaryEngine, CPoly, Kernel
+from .czop import BoundaryEngine, CPoly, Kernel, taylor_to_zzbar
 from .geometry import Disk, Domain, GraphDomain, Polygon
-from .poly import Poly, project_all
-from .quadrature import QuadratureSpec, gauss_on_interval, tensor_rule, trapezoid_circle
+from .poly import project_cubes
+from .quadrature import CUBE_ORDER, gauss_on_interval, tensor_rule, trapezoid_circle
 from .whitney import OrientedCovering
 
 
@@ -136,8 +137,9 @@ def sobolev_norm(domain: Domain, f, n: int, p: float, order: int = 16) -> dict:
 # key equivalence sum
 
 
-def _basis_partials(domain, basis, alphas, z, chunk: int = 40000):
+def _basis_partials(domain, basis, alphas, z):
     """partials[b][alpha] = D^alpha (T_Omega z^j zbar^k) at nodes z."""
+    chunk = 40000  # nodes per engine call, which bounds its temporaries
     out = {}
     for b in basis:
         eng = BoundaryEngine(domain, CPoly({b: 1.0}))
@@ -155,7 +157,7 @@ class TransformPartialTable:
     """Gradients of basis-monomial transforms at every cube node, shared
     across probe fields on one covering."""
 
-    def __init__(self, oc: OrientedCovering, n: int, quad_order: int = 6):
+    def __init__(self, oc: OrientedCovering, n: int):
         dom = oc.cov.domain
         if not isinstance(dom, (Disk, Polygon)):
             raise NotImplementedError("transform table needs a disk or polygon domain")
@@ -164,7 +166,7 @@ class TransformPartialTable:
         self.basis = [(j, k) for j in range(n) for k in range(n - j)]
         self.alphas = [(a, n - a) for a in range(n + 1)]
         cov = oc.cov
-        self.ref, self.refw = tensor_rule(np.zeros(2), np.ones(2), quad_order)
+        self.ref, self.refw = tensor_rule(np.zeros(2), np.ones(2), CUBE_ORDER)
         nodes = cov.lo[:, None, :] + cov.sides[:, None, None] * self.ref[None, :, :]
         z = (nodes[..., 0] + 1j * nodes[..., 1]).ravel()
         self.partials = _basis_partials(dom, self.basis, self.alphas, z)
@@ -172,46 +174,40 @@ class TransformPartialTable:
 
 
 def keylemma_sum(oc: OrientedCovering, kernel: Kernel, f, n: int, p: float,
-                 quad_order: int = 6, proj_quad: QuadratureSpec = None,
                  table: TransformPartialTable = None) -> dict:
     """sum over cubes of ||grad^n T_Omega(P^{n-1}_{3Q} f)||_{L^p(Q)}^p.
 
     Requires a disk or polygon domain (contour route); the kernel argument
-    fixes the operator and must be the planar Beurling kernel or zero."""
+    fixes the operator and must be the planar Beurling kernel or zero. A
+    given table must have been built on `oc` for this `n`."""
     cov = oc.cov
-    dom = cov.domain
+    m = len(cov)
+    if table is not None and (table.oc is not oc or table.n != n):
+        raise ValueError(f"the partial table was built for another covering or n (table n = {table.n}, n = {n})")
     if kernel.name == "zero":
-        return {"sum": 0.0, "n_cubes": len(cov), "per_cube_max": 0.0}
+        return {"sum": 0.0, "n_cubes": m, "per_cube_max": 0.0, "per_cube": np.zeros(m)}
     if kernel.name != "beurling":
         raise NotImplementedError("keylemma_sum supports the Beurling kernel")
     if kernel.order < n:
         raise ValueError("kernel order too small")
-    table = table or TransformPartialTable(oc, n, quad_order)
-    polys = project_all(f, cov, n, proj_quad)
+    table = table or TransformPartialTable(oc, n)
+    degrees, coeffs = project_cubes(f, cov.centers, cov.sides, n)
+    pairs, zcoeffs = taylor_to_zzbar(cov.centers, degrees, coeffs)
+    extra = [t for t, rs in enumerate(pairs) if rs not in table.basis]
+    if extra and np.max(np.abs(zcoeffs[:, extra])) > 1e-9:
+        raise ValueError("projection degree exceeds the basis")
+    column = {rs: t for t, rs in enumerate(pairs)}
     nq = table.nq
-    total = 0.0
-    worst = 0.0
-    per_cube = np.empty(len(cov))
-    for i in range(len(cov)):
-        cp = CPoly.from_real_poly(polys[i])
-        coefs = {b: cp.coeffs.get(b, 0j) for b in table.basis}
-        extra = set(cp.coeffs) - set(table.basis)
-        if any(abs(cp.coeffs[e]) > 1e-9 for e in extra):
-            raise ValueError("projection degree exceeds the basis")
-        sl = slice(i * nq, (i + 1) * nq)
-        grad_tot = np.zeros(nq)
-        for alpha in table.alphas:
-            acc = np.zeros(nq, dtype=complex)
-            for b in table.basis:
-                c = coefs[b]
-                if c != 0:
-                    acc += c * table.partials[b][alpha][sl]
-            grad_tot += np.abs(acc)
-        mass = float(np.sum(table.refw * cov.sides[i] ** 2 * grad_tot**p))
-        per_cube[i] = mass
-        total += mass
-        worst = max(worst, mass)
-    return {"sum": total, "n_cubes": len(cov), "per_cube_max": worst, "per_cube": per_cube}
+    grad_tot = np.zeros((m, nq))
+    for alpha in table.alphas:
+        acc = np.zeros((m, nq), dtype=complex)
+        for b in table.basis:
+            acc += zcoeffs[:, column[b], None] * table.partials[b][alpha].reshape(m, nq)
+        grad_tot += np.abs(acc)
+    per_cube = np.sum(table.refw * cov.sides[:, None] ** 2 * grad_tot**p, axis=1)
+    # sequential in cube order: np.sum would add pairwise and move the reported sums
+    total = float(np.cumsum(per_cube)[-1])
+    return {"sum": total, "n_cubes": m, "per_cube_max": float(per_cube.max()), "per_cube": per_cube}
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +252,16 @@ def default_suite(d: int = 2):
     ]
 
 
-def boundedness_probe(oc: OrientedCovering, kernel: Kernel, n: int, p: float, suite=None,
-                      quad_order: int = 6) -> dict:
+def boundedness_probe(oc: OrientedCovering, kernel: Kernel, n: int, p: float, suite=None) -> dict:
     """Per probe field: keylemma_sum(f) / ||f||_{W^{n,p}}^p, and the sup."""
     suite = suite if suite is not None else default_suite(oc.cov.dim)
     table = None
     if kernel.name == "beurling":
-        table = TransformPartialTable(oc, n, quad_order)
+        table = TransformPartialTable(oc, n)
     out = {}
     sup = 0.0
     for f in suite:
-        s = keylemma_sum(oc, kernel, f, n, p, quad_order, table=table)["sum"]
+        s = keylemma_sum(oc, kernel, f, n, p, table=table)["sum"]
         norm = sobolev_norm(oc.cov.domain, f, n, p)["full"]
         ratio = s / norm**p if norm > 0 else 0.0
         out[f.name] = {"sum": s, "norm": norm, "ratio": ratio}

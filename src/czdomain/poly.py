@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, factorial_multi, multiindices
-from .quadrature import QuadratureSpec, tensor_rule
+from .quadrature import CUBE_ORDER, tensor_rule
 
 
 @dataclass
@@ -115,95 +115,57 @@ def _derivative_means(f, center, side, degrees, order):
     return means
 
 
-def project(f, cube, n: int, quad: QuadratureSpec = None) -> Poly:
+def project_cubes(f, centers, sides, n: int):
+    """Moment-matching coefficients of degree <= n-1 for f on every tripled
+    cube at once: (degrees, coeffs) with coeffs[i, k] the coefficient of
+    (x - centers[i])^degrees[k].
+
+    The derivative means over all tripled cubes take one quadrature pass
+    per multiindex; the triangular solve then runs on whole coefficient
+    columns."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    sides3 = 3.0 * np.asarray(sides, dtype=float).reshape(-1)
+    m, d = centers.shape
+    degrees = multiindices(d, n - 1)
+    column = {g: k for k, g in enumerate(degrees)}
+    ref, refw = tensor_rule(np.zeros(d), np.ones(d), max(CUBE_ORDER, 2 * n))  # weights sum to 1
+    nodes = (centers - sides3[:, None] / 2.0)[:, None, :] + sides3[:, None, None] * ref[None, :, :]
+    flat = nodes.reshape(-1, d)
+    coeffs = np.empty((m, len(degrees)))
+    for gamma in sorted(degrees, key=lambda g: -sum(g)):
+        acc = f.derivative(gamma)(flat).reshape(m, -1) @ refw
+        for beta in degrees:
+            shift = tuple(b - g for b, g in zip(beta, gamma))
+            if beta == gamma or min(shift) < 0 or any(a % 2 for a in shift):
+                continue
+            fac = math.prod(math.factorial(b) / math.factorial(a) for b, a in zip(beta, shift))
+            acc -= coeffs[:, column[beta]] * fac * box_average_moment(shift, 1.0) * sides3 ** sum(shift)
+        coeffs[:, column[gamma]] = acc / factorial_multi(gamma)
+    return degrees, coeffs
+
+
+def project(f, cube, n: int) -> Poly:
     """Moment-matching polynomial of degree <= n-1 for f on 3Q.
 
     `cube` is anything with .center and .side; moments are taken on the
     concentric tripled box and the expansion center is the cube center.
     """
-    quad = quad or QuadratureSpec()
-    if n < 1:
-        raise ValueError("n must be >= 1")
     center = np.asarray(cube.center, dtype=float)
-    d = len(center)
-    side3 = 3.0 * float(cube.side)
-    degrees = multiindices(d, n - 1)
-    order = max(quad.order, 2 * n)
-    means = _derivative_means(f, center, side3, degrees, order)
-
-    coeffs = {}
-    for gamma in sorted(degrees, key=lambda g: -sum(g)):
-        acc = means[gamma]
-        for beta in degrees:
-            if beta == gamma or not all(b >= g for b, g in zip(beta, gamma)):
-                continue
-            if beta not in coeffs:
-                continue
-            fac = 1.0
-            for bb, gg in zip(beta, gamma):
-                fac *= math.factorial(bb) / math.factorial(bb - gg)
-            acc -= coeffs[beta] * fac * box_average_moment(tuple(b - g for b, g in zip(beta, gamma)), side3)
-        coeffs[gamma] = acc / factorial_multi(gamma)
-    return Poly(center, coeffs)
+    degrees, coeffs = project_cubes(f, center[None, :], [float(cube.side)], n)
+    return Poly(center, dict(zip(degrees, coeffs[0].tolist())))
 
 
-def project_all(f, cov, n: int, quad: QuadratureSpec = None):
-    """Moment-matching polynomials for every cube of a covering at once.
-
-    The derivative means over all tripled cubes are evaluated in one
-    quadrature pass per multiindex; the triangular solves then run on
-    whole coefficient arrays."""
-    quad = quad or QuadratureSpec()
-    d = cov.dim
-    degrees = multiindices(d, n - 1)
-    order = max(quad.order, 2 * n)
-    ref, refw = tensor_rule(np.zeros(d), np.ones(d), order)  # weights sum to 1
-    sides3 = 3.0 * cov.sides
-    los = cov.centers - sides3[:, None] / 2.0
-    nodes = los[:, None, :] + sides3[:, None, None] * ref[None, :, :]
-    flat = nodes.reshape(-1, d)
-    means = {}
-    for beta in degrees:
-        vals = f.derivative(beta)(flat).reshape(len(cov.sides), -1)
-        means[beta] = vals @ refw
-    coeff_arrays = {}
-    for gamma in sorted(degrees, key=lambda g: -sum(g)):
-        acc = means[gamma].copy()
-        for beta in degrees:
-            if beta == gamma or not all(b >= g for b, g in zip(beta, gamma)):
-                continue
-            if beta not in coeff_arrays:
-                continue
-            fac = 1.0
-            unit_moment = 1.0
-            skip = False
-            for bb, gg in zip(beta, gamma):
-                a = bb - gg
-                fac *= math.factorial(bb) / math.factorial(bb - gg)
-                if a % 2 == 1:
-                    skip = True
-                    break
-                unit_moment *= 0.5**a / (a + 1)
-            if skip:
-                continue
-            acc -= coeff_arrays[beta] * fac * unit_moment * sides3 ** sum(b - g for b, g in zip(beta, gamma))
-        coeff_arrays[gamma] = acc / factorial_multi(gamma)
-    out = []
-    for i in range(len(cov.sides)):
-        out.append(Poly(cov.centers[i].copy(), {g: float(coeff_arrays[g][i]) for g in degrees}))
-    return out
-
-
-def moment_residuals(f, poly: Poly, cube, n: int, quad: QuadratureSpec = None, order: int = None) -> float:
+def moment_residuals(f, poly: Poly, cube, n: int, order: int = None) -> float:
     """Max over |beta| <= n-1 of |avg D^beta(P - f)| on 3Q.
 
     With `order` freely chosen this is an independent audit of the moment
     equations (the projector's own quadrature order is the default)."""
-    quad = quad or QuadratureSpec()
     center = np.asarray(cube.center, dtype=float)
     side3 = 3.0 * float(cube.side)
     degrees = multiindices(len(center), n - 1)
-    order = order or max(quad.order, 2 * n)
+    order = order or max(CUBE_ORDER, 2 * n)
     means_f = _derivative_means(f, center, side3, degrees, order)
     worst = 0.0
     for beta in degrees:
@@ -255,10 +217,10 @@ def grad_lp_norm(f, n: int, lo, hi, p: float, order: int = 8) -> float:
     return lp_norm(total, w, p)
 
 
-def coefficient_bound_report(f, cube, n: int, quad: QuadratureSpec = None) -> dict:
+def coefficient_bound_report(f, cube, n: int) -> dict:
     """Measured constants for the coefficient bound
     |m_gamma| <= c_n sum_{j=|gamma|}^{n-1} sup|grad^j f| l(Q)^{j-|gamma|}."""
-    poly = project(f, cube, n, quad)
+    poly = project(f, cube, n)
     center = np.asarray(cube.center, dtype=float)
     side = float(cube.side)
     sups = {j: grad_sup_norm(f, j, center, 3.0 * side) for j in range(n)}
@@ -273,10 +235,9 @@ def coefficient_bound_report(f, cube, n: int, quad: QuadratureSpec = None) -> di
     return {"measured_c_n": worst, "per_gamma": per_gamma}
 
 
-def verify_poincare(f, cube, n: int, p: float, quad: QuadratureSpec = None, order: int = 10) -> dict:
+def verify_poincare(f, cube, n: int, p: float, order: int = 10) -> dict:
     """Ratio ||f - Pf||_{L^p(3Q)} / (l(Q)^n ||grad^n f||_{L^p(3Q)})."""
-    quad = quad or QuadratureSpec()
-    poly = project(f, cube, n, quad)
+    poly = project(f, cube, n)
     center = np.asarray(cube.center, dtype=float)
     side = float(cube.side)
     lo = center - 1.5 * side
@@ -289,13 +250,13 @@ def verify_poincare(f, cube, n: int, p: float, quad: QuadratureSpec = None, orde
     return {"ratio": num / den, "numerator": num, "denominator": den, "exact_zero": False}
 
 
-def verify_chain_bound(f, oc, q_pos: int, s_pos: int, n: int, quad: QuadratureSpec = None, order: int = 8) -> dict:
+def verify_chain_bound(f, oc, q_pos: int, s_pos: int, n: int, order: int = 8) -> dict:
     """Both sides of the chain estimate
     ||f - P_{3Q} f||_{L^1(S)} <= C sum_{P in [S,Q]} l(S)^d D(P,S)^{n-1}
                                       / l(P)^{d-1} * ||grad^n f||_{L^1(3P)}."""
     cov = oc.cov
     d = cov.dim
-    poly = project(f, cov.cubes[q_pos], n, quad)
+    poly = project(f, cov.cubes[q_pos], n)
     lo, hi = cov.lo[s_pos], cov.hi[s_pos]
     pts, w = tensor_rule(lo, hi, order)
     lhs = float(np.sum(w * np.abs(f.derivative((0,) * d)(pts) - poly.evaluate(pts))))

@@ -6,10 +6,13 @@ placement (and therefore every reported number) is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# Per-axis Gauss order on Whitney cubes: the projection moments (raised to
+# 2n for n > 3), the cube measures and the key-lemma nodes.
+CUBE_ORDER = 6
 
 
 @lru_cache(maxsize=64)
@@ -70,13 +73,6 @@ def trapezoid_circle(n: int):
     theta = np.arange(n) * (2.0 * np.pi / n)
     w = np.full(n, 2.0 * np.pi / n)
     return theta, w
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Per-axis Gauss order used for moments and cube-local norms."""
-
-    order: int = 6
 
 
 def richardson(values, ratio: float = 0.5, order: int = 2):

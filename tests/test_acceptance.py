@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from czdomain import carleson, czop, fields, geometry, keylemma, poly, whitney
-from czdomain.quadrature import QuadratureSpec
 
 C_W = 1.125
 

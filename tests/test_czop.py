@@ -247,15 +247,25 @@ def test_cpoly_roundtrip_and_partials():
 
 
 def test_real_poly_to_cpoly_equivalence():
+    """One batch of centres through taylor_to_zzbar: every row is the real
+    polynomial in absolute (z, zbar) powers, and equals from_real_poly."""
     from czdomain.poly import Poly
 
     rng = np.random.default_rng(7)
-    p = Poly(rng.uniform(-1, 1, 2), {(0, 0): 0.3, (1, 0): -1.2, (0, 1): 0.7, (1, 1): 0.25, (2, 0): -0.4})
-    cp = czop.CPoly.from_real_poly(p)
+    degrees = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)]
+    centers = rng.uniform(-1, 1, (5, 2))
+    coeffs = rng.uniform(-1.5, 1.5, (5, len(degrees)))
+    pairs, out = czop.taylor_to_zzbar(centers, degrees, coeffs)
+    assert out.shape == (5, len(pairs))
     pts = rng.uniform(-2, 2, (30, 2))
     z = pts[:, 0] + 1j * pts[:, 1]
-    assert np.max(np.abs(cp(z).real - p.evaluate(pts))) < 1e-12
-    assert np.max(np.abs(cp(z).imag)) < 1e-12
+    for i in range(len(centers)):
+        p = Poly(centers[i], dict(zip(degrees, coeffs[i])))
+        cp = czop.CPoly(dict(zip(pairs, out[i])))
+        assert np.max(np.abs(cp(z).real - p.evaluate(pts))) < 1e-12
+        assert np.max(np.abs(cp(z).imag)) < 1e-12
+        single = czop.CPoly.from_real_poly(p)
+        assert single.coeffs == cp.coeffs
 
 
 def test_kernel_bound_at_quadrature_nodes(kernel, disk):

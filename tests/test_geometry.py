@@ -124,7 +124,7 @@ def test_segment_box_distance_against_bruteforce():
 
 
 def test_disk_box_distance_exactness(disk, square, zigzag05):
-    """Single-box distances of the disk, a polygon and a zigzag graph
+    """One-row box distances of the disk, a polygon and a zigzag graph
     against the boundary distance of a dense grid over the box."""
     rng = np.random.default_rng(2)
     for dom in (disk, square, zigzag05):
@@ -133,13 +133,21 @@ def test_disk_box_distance_exactness(disk, square, zigzag05):
         for _ in range(60):
             lo = rng.uniform(lo_bb - 0.2 * ext, hi_bb)
             hi = lo + rng.uniform(0.005, 0.3, 2) * ext
-            exact = dom.dist_box_to_boundary(lo, hi)
+            exact = dom.dist_boxes_to_boundary(lo[None, :], hi[None, :])[0]
             xs = np.linspace(lo[0], hi[0], 80)
             ys = np.linspace(lo[1], hi[1], 80)
             X, Y = np.meshgrid(xs, ys)
             brute = np.min(dom.dist_to_boundary(np.column_stack([X.ravel(), Y.ravel()])))
             assert exact <= brute + 1e-9
             assert brute <= exact + 0.01 * ext
+
+
+def test_halfspace_3d_box_distance():
+    """Above the plane y_3 = 0 a box is lo[-1] away; across it, 0."""
+    dom = geometry.GraphDomain(d=3)
+    lo = np.array([[0.1, -0.4, 0.25], [-1.0, 0.0, 2.0], [0.0, 0.0, -0.5], [0.3, 0.3, 0.0]])
+    hi = lo + np.array([[0.5, 0.5, 0.5], [0.125, 0.25, 1.0], [1.0, 1.0, 1.0], [0.1, 0.1, 0.1]])
+    assert dom.dist_boxes_to_boundary(lo, hi).tolist() == [0.25, 2.0, 0.0, 0.0]
 
 
 def test_graph_area_exact_across_lower_edge():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from czdomain import fields, poly
-from czdomain.quadrature import QuadratureSpec
 
 
 class Box:
@@ -79,13 +78,16 @@ def test_projection_uniqueness_and_linearity():
 
 
 def test_project_all_matches_project(disk_oc):
+    """Rows of the array projection equal the one-row projection."""
     cov = disk_oc.cov
     f = fields.random_smooth_field(np.random.default_rng(3))
-    polys = poly.project_all(f, cov, 3)
+    degrees, coeffs = poly.project_cubes(f, cov.centers, cov.sides, 3)
+    assert coeffs.shape == (len(cov), len(degrees))
     for i in (0, len(cov) // 3, len(cov) - 1):
         single = poly.project(f, cov.cubes[i], 3)
-        for gamma, c in single.coeffs.items():
-            assert polys[i].coeffs[gamma] == pytest.approx(c, abs=1e-12)
+        assert list(single.coeffs) == degrees
+        for k, gamma in enumerate(degrees):
+            assert coeffs[i, k] == pytest.approx(single.coeffs[gamma], abs=1e-12)
 
 
 def test_coefficient_bound_p1():
