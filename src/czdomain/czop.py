@@ -17,7 +17,6 @@ Three evaluation routes for T_Omega f(x) = int_Omega K(x-y) f(y) dy:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -263,10 +262,8 @@ class PVSchedule:
             raise ValueError("schedule ratio must lie in (0, 1)")
 
 
-def _ray_quadrature(domain, x, r_min, kern_fn, f_fn, n_theta, radial_order):
-    """Integral over {y in Omega : |y - x| > r_min} of kern(x-y) f(y) dy
-    by ray casting from x. r_min = 0 integrates across x (plain case)."""
-    x = np.asarray(x, float)
+def _ray_angles(domain, x, n_theta):
+    """Angular rule (theta, weights) for rays cast from x."""
     if isinstance(domain, Polygon):
         # split the circle at vertex directions: r_exit is smooth per sector
         angles = sorted(math.atan2(v[1] - x[1], v[0] - x[0]) % (2 * math.pi) for v in domain.vertices)
@@ -295,32 +292,49 @@ def _ray_quadrature(domain, x, r_min, kern_fn, f_fn, n_theta, radial_order):
         tw = uw * beta * np.cos(uu)
     else:
         theta, tw = trapezoid_circle(n_theta)
-    hits = domain.ray_hits(x, theta)
-    total = 0j
-    for th, w_th, ivals in zip(theta, tw, hits):
-        for (a, b) in ivals:
-            a = max(a, r_min)
-            if b <= a * (1 + 1e-14) or b - a < 1e-15:
-                continue
-            if a <= 0:
-                a = min(1e-9 * b, b * 1e-6)  # plain integrals never hit r=0 (x off supp)
-            rr, rw = gauss_log_radial(a, b, order=radial_order)
-            pts = x[None, :] + rr[:, None] * np.array([math.cos(th), math.sin(th)])[None, :]
-            zz = -rr * cmath.exp(1j * th)  # x - y
-            vals = kern_fn(zz) * f_fn(pts) * rr
-            total += w_th * np.sum(rw * vals)
-    return total
+    return theta, tw
+
+
+def _ray_quadrature(domain, x, r_min, kern_fn, f_fn, n_theta, radial_order):
+    """Integral over {y in Omega : |y - x| > r_min} of kern(x-y) f(y) dy
+    by ray casting from x. r_min = 0 integrates across x (plain case)."""
+    x = np.asarray(x, float)
+    theta, tw = _ray_angles(domain, x, n_theta)
+    ray, a, b = domain.ray_hits(x, theta)
+    a = np.maximum(a, r_min)
+    keep = (b > a * (1 + 1e-14)) & (b - a >= 1e-15)
+    ray, a, b = ray[keep], a[keep], b[keep]
+    a = np.where(a <= 0, 1e-9 * b, a)  # r_min = 0 only off supp f: start just off r = 0
+    cis = np.cos(theta[ray]) + 1j * np.sin(theta[ray])
+    terms = tw[ray] * _radial_integrals(x, cis, a, b, kern_fn, f_fn, radial_order)
+    # added ray after ray, in the order of a per-ray loop
+    return np.cumsum(terms)[-1]
+
+
+def _radial_integrals(x, cis, a, b, kern_fn, f_fn, radial_order):
+    """Per row i, int_{a_i}^{b_i} kern(x - y) f(y) r dr along the ray
+    y = x + r cis_i, by log-radial Gauss panels: one kernel and one data
+    call for all rows, then one weighted sum per panel-count group."""
+    groups = gauss_log_radial(a, b, order=radial_order)
+    zz = np.concatenate([(-rr * cis[rows, None]).ravel() for rows, rr, _ in groups])  # x - y
+    vals = kern_fn(zz) * f_fn(np.stack([x[0] - zz.real, x[1] - zz.imag], axis=-1))
+    out = np.empty(len(a), dtype=complex)
+    start = 0
+    for rows, rr, rw in groups:
+        v = vals[start : start + rr.size].reshape(rr.shape) * rr
+        out[rows] = np.sum(rw * v, axis=1)
+        start += rr.size
+    return out
 
 
 def _annulus_quadrature(x, eps, r_out, kern_fn, f_fn, n_theta, radial_order):
+    """Integral over {eps_m < |y - x| < r_out} of kern(x-y) f(y) dy for
+    every exclusion radius eps_m at once: one value per radius."""
     theta, tw = trapezoid_circle(n_theta)
-    rr, rw = gauss_log_radial(eps, r_out, order=radial_order)
-    cs = np.cos(theta)
-    sn = np.sin(theta)
-    pts = x[None, None, :] + rr[None, :, None] * np.stack([cs, sn], axis=-1)[:, None, :]
-    zz = -rr[None, :] * np.exp(1j * theta)[:, None]
-    vals = kern_fn(zz.ravel()).reshape(zz.shape) * f_fn(pts.reshape(-1, 2)).reshape(zz.shape) * rr[None, :]
-    return np.sum(tw[:, None] * rw[None, :] * vals)
+    cis = np.tile(np.cos(theta) + 1j * np.sin(theta), len(eps))
+    a = np.repeat(eps, n_theta)
+    rows = _radial_integrals(x, cis, a, np.full(a.shape, r_out), kern_fn, f_fn, radial_order)
+    return np.sum(tw * rows.reshape(len(eps), n_theta), axis=1)
 
 
 def pv_transform(kernel: Kernel, domain: Domain, f, x, sched: PVSchedule = None):
@@ -351,12 +365,9 @@ def pv_transform(kernel: Kernel, domain: Domain, f, x, sched: PVSchedule = None)
     if eps0 >= r0:
         raise ValueError("eps0 must be smaller than the inner radius")
     outer = _ray_quadrature(domain, x, r0, kern_fn, f_fn, sched.n_theta, sched.radial_order)
-    values = []
-    for m in range(sched.levels):
-        eps = eps0 * sched.ratio**m
-        inner = _annulus_quadrature(x, eps, r0, kern_fn, f_fn, sched.n_theta, sched.radial_order)
-        values.append(outer + inner)
-    val, est, _ = richardson(values, ratio=sched.ratio, order=sched.extrapolation_order)
+    eps = eps0 * sched.ratio ** np.arange(sched.levels)
+    values = outer + _annulus_quadrature(x, eps, r0, kern_fn, f_fn, sched.n_theta, sched.radial_order)
+    val, est, _ = richardson(list(values), ratio=sched.ratio, order=sched.extrapolation_order)
     return val, est
 
 
@@ -408,22 +419,20 @@ def grad_transform(kernel: Kernel, domain: Domain, f, x, order: int, sched: PVSc
 
     supp_gap = _support_distance(f, x)
     if supp_gap > 0:
+        f_fn = _point_fn(f)
+        if hasattr(f, "support_box"):
+            pts, w = tensor_rule(*f.support_box, 16)
+            zz = (x[0] - pts[:, 0]) + 1j * (x[1] - pts[:, 1])
+            fv = f_fn(pts)
+            return {alpha: complex(np.sum(w * kernel.deriv(alpha, zz) * fv)) for alpha in alphas}, 1e-12
         out = {}
         est = 0.0
-        f_fn = _point_fn(f)
         for alpha in alphas:
-            if hasattr(f, "support_box"):
-                lo, hi = f.support_box
-                pts, w = tensor_rule(lo, hi, 16)
-                zz = (x[0] - pts[:, 0]) + 1j * (x[1] - pts[:, 1])
-                out[alpha] = complex(np.sum(w * kernel.deriv(alpha, zz) * f_fn(pts)))
-                est = max(est, 1e-12)
-            else:
-                kfun = lambda z, a=alpha: kernel.deriv(a, z)
-                v1 = _ray_quadrature(domain, x, 0.0, kfun, f_fn, sched.n_theta, sched.radial_order)
-                v2 = _ray_quadrature(domain, x, 0.0, kfun, f_fn, sched.n_theta * 2, sched.radial_order + 4)
-                out[alpha] = v2
-                est = max(est, abs(v2 - v1))
+            kfun = lambda z, a=alpha: kernel.deriv(a, z)
+            v1 = _ray_quadrature(domain, x, 0.0, kfun, f_fn, sched.n_theta, sched.radial_order)
+            v2 = _ray_quadrature(domain, x, 0.0, kfun, f_fn, sched.n_theta * 2, sched.radial_order + 4)
+            out[alpha] = v2
+            est = max(est, abs(v2 - v1))
         return out, est
 
     dist = domain.dist_point(x)

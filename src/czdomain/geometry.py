@@ -336,25 +336,17 @@ class Disk(Domain):
         return wins
 
     def ray_hits(self, origin, angles):
-        """Per angle, a list of (t0, t1) parameter intervals inside Omega."""
+        """Intervals of the rays origin + t (cos a, sin a), t >= 0, inside
+        the disk: flat arrays (ray, t0, t1), at most one row per ray."""
         o = np.asarray(origin, float) - self.center
-        out = []
-        for th in np.atleast_1d(angles):
-            dvec = np.array([math.cos(th), math.sin(th)])
-            b = float(o @ dvec)
-            c = float(o @ o) - self.radius**2
-            disc = b * b - c
-            if disc <= 0:
-                out.append([])
-                continue
-            sq = math.sqrt(disc)
-            t0, t1 = -b - sq, -b + sq
-            t0 = max(t0, 0.0)
-            if t1 <= t0:
-                out.append([])
-            else:
-                out.append([(t0, t1)])
-        return out
+        th = np.atleast_1d(np.asarray(angles, float))
+        b = o[0] * np.cos(th) + o[1] * np.sin(th)
+        disc = b * b - (float(o @ o) - self.radius**2)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t0 = np.maximum(-b - sq, 0.0)
+        t1 = -b + sq
+        ray = np.flatnonzero((disc > 0) & (t1 > t0))
+        return ray, t0[ray], t1[ray]
 
 
 class _LocalPolylineGraph:
@@ -559,35 +551,36 @@ class Polygon(Domain):
         return wins
 
     def ray_hits(self, origin, angles):
+        """Intervals of the rays origin + t (cos a, sin a), t >= 0, inside
+        the polygon: flat arrays (ray, t0, t1), one row per interval, in
+        ray order and then along the ray."""
         o = np.asarray(origin, float)
-        edges = self.edges()
-        out = []
-        inside0 = self.contains_point(o)
-        for th in np.atleast_1d(angles):
-            dvec = np.array([math.cos(th), math.sin(th)])
-            ts = []
-            for a, b in edges:
-                e = b - a
-                denom = dvec[0] * (-e[1]) - dvec[1] * (-e[0])
-                if abs(denom) < 1e-300:
-                    continue
-                rhs = a - o
-                t = (rhs[0] * (-e[1]) + rhs[1] * e[0]) / denom
-                s = (dvec[0] * rhs[1] - dvec[1] * rhs[0]) / denom
-                if t > 1e-13 and -1e-13 <= s <= 1 + 1e-13:
-                    ts.append(t)
-            ts = sorted(ts)
-            dedup = []
-            for t in ts:
-                if not dedup or t - dedup[-1] > 1e-12 * max(1.0, t):
-                    dedup.append(t)
-            intervals = []
-            pts = [0.0] + dedup if inside0 else dedup
-            for i in range(0, len(pts) - 1, 2):
-                if pts[i + 1] > pts[i]:
-                    intervals.append((pts[i], pts[i + 1]))
-            out.append(intervals)
-        return out
+        th = np.atleast_1d(np.asarray(angles, float))
+        dx, dy = np.cos(th)[:, None], np.sin(th)[:, None]
+        a = self.vertices
+        e = np.roll(a, -1, axis=0) - a
+        rhs = a - o
+        # (rays x edges): ray parameter t and edge parameter s of each crossing
+        denom = dx * (-e[:, 1]) - dy * (-e[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rhs[:, 0] * (-e[:, 1]) + rhs[:, 1] * e[:, 0]) / denom
+            s = (dx * rhs[:, 1] - dy * rhs[:, 0]) / denom
+        hit = (np.abs(denom) >= 1e-300) & (t > 1e-13) & (s >= -1e-13) & (s <= 1 + 1e-13)
+        ts = np.sort(np.where(hit, t, np.inf), axis=1)
+        # a ray through a vertex crosses two edges at one t: keep a crossing
+        # only beyond the last one kept
+        keep = np.isfinite(ts)
+        last = np.full(len(th), -np.inf)
+        for j in range(ts.shape[1]):
+            keep[:, j] &= ts[:, j] - last > 1e-12 * np.maximum(1.0, ts[:, j])
+            last = np.where(keep[:, j], ts[:, j], last)
+        pts = np.sort(np.where(keep, ts, np.inf), axis=1)
+        if self.contains_point(o):
+            pts = np.concatenate([np.zeros((len(th), 1)), pts], axis=1)
+        m = pts.shape[1] // 2
+        t0, t1 = pts[:, 0 : 2 * m : 2], pts[:, 1 : 2 * m : 2]
+        rows = np.isfinite(t1) & (t1 > t0)
+        return np.nonzero(rows)[0], t0[rows], t1[rows]
 
 
 class GraphDomain(Domain):

@@ -214,22 +214,18 @@ def keylemma_sum(oc: OrientedCovering, kernel: Kernel, f, n: int, p: float,
 # Whitney averaging operator
 
 
-def averaging(oc: OrientedCovering, f, order: int = 6) -> dict:
-    """A f per cube: the mean of f over the tripled cube."""
+def averaging(oc: OrientedCovering, f) -> dict:
+    """A f per cube: the mean of f over the tripled cube, which is the
+    degree-0 moment projection."""
     cov = oc.cov
-    out = {}
-    for i in range(len(cov)):
-        c = cov.centers[i]
-        s = 3.0 * cov.sides[i]
-        pts, w = tensor_rule(c - s / 2.0, c + s / 2.0, order)
-        out[i] = float(np.sum(w * f.derivative((0,) * cov.dim)(pts))) / s**cov.dim
-    return out
+    _, coeffs = project_cubes(f, cov.centers, cov.sides, 1)
+    return dict(enumerate(coeffs[:, 0].tolist()))
 
 
-def averaging_lp_report(oc: OrientedCovering, f, p: float, order: int = 6) -> dict:
+def averaging_lp_report(oc: OrientedCovering, f, p: float) -> dict:
     """Measured constant in ||A f||_{L^p(union of cubes)} <= C ||f||_{L^p}."""
     cov = oc.cov
-    av = averaging(oc, f, order)
+    av = averaging(oc, f)
     lhs = sum(abs(av[i]) ** p * cov.sides[i] ** cov.dim for i in range(len(cov))) ** (1.0 / p)
     pts, w = domain_quadrature(cov.domain, 16)
     rhs = float(np.sum(w * np.abs(f.derivative((0,) * cov.dim)(pts)) ** p)) ** (1.0 / p)

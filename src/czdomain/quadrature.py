@@ -49,23 +49,34 @@ def tensor_rule(lo, hi, order: int):
     return pts, w
 
 
-def gauss_log_radial(r0: float, r1: float, order: int = 12, panels_per_decade: float = 1.5):
-    """Radial nodes/weights on [r0, r1] using Gauss panels in log r.
+def gauss_log_radial(r0, r1, order: int = 12, panels_per_decade: float = 1.5):
+    """Radial Gauss rules on the rows [r0[i], r1[i]], panels in log r.
 
-    Suited to integrands with an |r|^-k singularity at r=0: panels are
-    geometrically graded so each spans a bounded log-range.
+    Suited to integrands with an |r|^-k singularity at r=0: each row gets
+    ceil(log(r1/r0) * panels_per_decade / ln 10) geometrically graded
+    panels. Rows with the same panel count form one group, so no row is
+    padded: a list of (rows, nodes, weights), one entry per panel count,
+    with nodes and weights of shape (len(rows), panels * order).
     """
-    if not (0.0 < r0 < r1):
-        raise ValueError(f"need 0 < r0 < r1, got ({r0}, {r1})")
+    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
+    r1 = np.atleast_1d(np.asarray(r1, dtype=float))
+    if not np.all((0.0 < r0) & (r0 < r1)):
+        raise ValueError("need 0 < r0 < r1 on every row")
     span = np.log(r1 / r0)
-    n_panels = max(1, int(np.ceil(span * panels_per_decade / np.log(10.0))))
-    edges = r0 * np.exp(np.linspace(0.0, span, n_panels + 1))
-    xs, ws = [], []
-    for i in range(n_panels):
-        x, w = gauss_on_interval(edges[i], edges[i + 1], order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    n_panels = np.maximum(1, np.ceil(span * panels_per_decade / np.log(10.0)).astype(int))
+    x, w = gauss_legendre(order)
+    groups = []
+    for k in np.unique(n_panels):
+        rows = np.flatnonzero(n_panels == k)
+        logs = np.arange(k + 1) * (span[rows, None] / k)  # np.linspace(0, span, k + 1) per row
+        logs[:, -1] = span[rows]
+        edges = r0[rows, None] * np.exp(logs)
+        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        nodes = mid[:, :, None] + half[:, :, None] * x
+        weights = half[:, :, None] * w
+        groups.append((rows, nodes.reshape(len(rows), -1), weights.reshape(len(rows), -1)))
+    return groups
 
 
 def trapezoid_circle(n: int):

@@ -269,15 +269,27 @@ def test_real_poly_to_cpoly_equivalence():
 
 
 def test_kernel_bound_at_quadrature_nodes(kernel, disk):
-    """Definition audit on the nodes a PV evaluation actually visits."""
-    x = np.array([0.2, 0.1])
-    dist = disk.dist_point(x)
-    r0 = 0.5 * dist
-    from czdomain.quadrature import gauss_log_radial, trapezoid_circle
+    """Definition audit on the nodes a PV evaluation actually visits: the
+    outer ray rows and every annulus of the epsilon schedule, through the
+    array rule as pv_transform builds them."""
+    from czdomain.quadrature import gauss_log_radial
 
-    theta, _ = trapezoid_circle(96)
-    rr, _ = gauss_log_radial(r0 / 16, r0, order=12)
-    zz = (-rr[None, :] * np.exp(1j * theta)[:, None]).ravel()
+    x = np.array([0.2, 0.1])
+    sched = czop.PVSchedule()
+    r0 = 0.5 * disk.dist_point(x)
+    eps = 0.5 * r0 * sched.ratio ** np.arange(sched.levels)
+    theta, _ = czop._ray_angles(disk, x, sched.n_theta)
+    ray, _, b = disk.ray_hits(x, theta)
+    rows = [
+        (theta[ray], np.full(b.shape, r0), b),
+        (np.tile(theta, sched.levels), np.repeat(eps, sched.n_theta), np.full(sched.levels * sched.n_theta, r0)),
+    ]
+    zz = []
+    for th, a, b in rows:
+        for idx, rr, _ in gauss_log_radial(a, b, order=sched.radial_order):
+            zz.append((-rr * np.exp(1j * th[idx])[:, None]).ravel())
+    zz = np.concatenate(zz)
+    assert zz.size > sched.levels * sched.n_theta * sched.radial_order
     assert kernel.bound_holds(zz)
 
 
@@ -285,3 +297,154 @@ def test_zero_kernel():
     zk = czop.zero_kernel()
     assert zk.C_K == 0.0
     assert np.all(zk.value(np.array([1 + 1j])) == 0)
+
+
+# ---------------------------------------------------------------------------
+# batched ray quadrature against the former per-angle, per-ray loops
+
+
+L_SHAPE = geometry.Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+
+
+def _loop_ray_hits(domain, origin, angles):
+    """The former ray casting: per angle, a list of (t0, t1) intervals."""
+    if isinstance(domain, geometry.Disk):
+        o = np.asarray(origin, float) - domain.center
+        out = []
+        for th in np.atleast_1d(angles):
+            dvec = np.array([math.cos(th), math.sin(th)])
+            b = float(o @ dvec)
+            c = float(o @ o) - domain.radius**2
+            disc = b * b - c
+            if disc <= 0:
+                out.append([])
+                continue
+            sq = math.sqrt(disc)
+            t0, t1 = max(-b - sq, 0.0), -b + sq
+            out.append([] if t1 <= t0 else [(t0, t1)])
+        return out
+    o = np.asarray(origin, float)
+    inside0 = domain.contains_point(o)
+    out = []
+    for th in np.atleast_1d(angles):
+        dvec = np.array([math.cos(th), math.sin(th)])
+        ts = []
+        for a, b in domain.edges():
+            e = b - a
+            denom = dvec[0] * (-e[1]) - dvec[1] * (-e[0])
+            if abs(denom) < 1e-300:
+                continue
+            rhs = a - o
+            t = (rhs[0] * (-e[1]) + rhs[1] * e[0]) / denom
+            s = (dvec[0] * rhs[1] - dvec[1] * rhs[0]) / denom
+            if t > 1e-13 and -1e-13 <= s <= 1 + 1e-13:
+                ts.append(t)
+        dedup = []
+        for t in sorted(ts):
+            if not dedup or t - dedup[-1] > 1e-12 * max(1.0, t):
+                dedup.append(t)
+        pts = [0.0] + dedup if inside0 else dedup
+        out.append([(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2) if pts[i + 1] > pts[i]])
+    return out
+
+
+def _loop_ray_quadrature(domain, x, r_min, kern_fn, f_fn, n_theta, radial_order):
+    """The former ray quadrature: one log-radial rule and one kernel call
+    per (ray, interval)."""
+    from czdomain.quadrature import gauss_on_interval
+
+    def log_radial(r0, r1, order):
+        n_panels = max(1, int(np.ceil(np.log(r1 / r0) * 1.5 / np.log(10.0))))
+        edges = r0 * np.exp(np.linspace(0.0, np.log(r1 / r0), n_panels + 1))
+        rules = [gauss_on_interval(edges[i], edges[i + 1], order) for i in range(n_panels)]
+        return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
+
+    x = np.asarray(x, float)
+    theta, tw = czop._ray_angles(domain, x, n_theta)
+    total = 0j
+    for th, w_th, ivals in zip(theta, tw, _loop_ray_hits(domain, x, theta)):
+        for a, b in ivals:
+            a = max(a, r_min)
+            if b <= a * (1 + 1e-14) or b - a < 1e-15:
+                continue
+            if a <= 0:
+                a = min(1e-9 * b, b * 1e-6)
+            rr, rw = log_radial(a, b, radial_order)
+            pts = x[None, :] + rr[:, None] * np.array([math.cos(th), math.sin(th)])[None, :]
+            zz = -rr * cmath.exp(1j * th)
+            total += w_th * np.sum(rw * kern_fn(zz) * f_fn(pts) * rr)
+    return total
+
+
+INTERIOR_ORIGINS = {
+    "disk": [(0.3, -0.2), (0.0, 0.0), (-0.9, 0.1)],
+    "square": [(0.35, 0.55), (0.9, 0.1)],
+    "lshape": [(0.5, 1.5), (1.5, 0.5), (0.8, 0.8)],
+}
+
+
+def _ray_origins(name, domain, rng, count):
+    """A few interior points, then random origins in [-1.5, 2.5]^2 off the
+    boundary."""
+    out = [np.array(o) for o in INTERIOR_ORIGINS[name]]
+    while len(out) < count:
+        o = rng.uniform(-1.5, 2.5, 2)
+        if domain.dist_point(o) > 1e-3:
+            out.append(o)
+    return out
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "lshape"])
+def test_ray_hits_match_per_angle_loop(name, disk, square):
+    domain = {"disk": disk, "square": square, "lshape": L_SHAPE}[name]
+    rng = np.random.default_rng(17)
+    origins = _ray_origins(name, domain, rng, 40)
+    seen_inside = seen_outside = seen_multi = False
+    for o in origins:
+        angles = rng.uniform(0.0, 2 * math.pi, 64)
+        if name != "disk":
+            # rays through the vertices cross two edges at one t
+            angles = np.concatenate([angles, [math.atan2(*(v - o)[::-1]) for v in domain.vertices]])
+        ref = _loop_ray_hits(domain, o, angles)
+        ray, t0, t1 = domain.ray_hits(o, angles)
+        assert ray.tolist() == [i for i, ivals in enumerate(ref) for _ in ivals]
+        old = np.array([iv for ivals in ref for iv in ivals]).reshape(-1, 2)
+        scale = np.maximum(1.0, np.abs(old))
+        assert np.all(np.abs(np.stack([t0, t1], axis=-1) - old) <= 1e-14 * scale)
+        inside = domain.contains_point(o)
+        seen_inside |= inside
+        seen_outside |= not inside
+        seen_multi |= ray.size > 0 and np.bincount(ray).max() >= 2
+    assert seen_inside and seen_outside
+    assert seen_multi == (name == "lshape")
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "lshape"])
+def test_ray_quadrature_matches_per_ray_loop(kernel, name, disk, square):
+    """Interior points with r_min = 0 and r_min > 0, exterior points (the
+    disk's tangent-cone rule among them) with r_min = 0 and r_min > 0."""
+    domain = {"disk": disk, "square": square, "lshape": L_SHAPE}[name]
+    rng = np.random.default_rng(23)
+    f_fn = czop._point_fn(czop.parse_cpoly("2*z^2*zbar - 0.5 + zbar"))
+    origins = _ray_origins(name, domain, rng, 10)
+    assert {domain.contains_point(o) for o in origins} == {True, False}
+    for o in origins:
+        for r_min in (0.0, 0.5 * domain.dist_point(o) + 0.1):
+            for n_theta, order in ((64, 12), (128, 16)):
+                new = czop._ray_quadrature(domain, o, r_min, kernel.value, f_fn, n_theta, order)
+                old = _loop_ray_quadrature(domain, o, r_min, kernel.value, f_fn, n_theta, order)
+                assert abs(new - old) <= 1e-13 * max(1.0, abs(old))
+
+
+def test_pv_nonconvex_exterior_point(kernel):
+    """The L-shape seen from its notch, and from beyond its lower arm, whose
+    rays cross both arms and so leave and re-enter the domain: the PV and
+    contour routes agree to roundoff."""
+    for z in (1.6 + 1.6j, 3.0 + 0.5j):
+        for P in ("1", "z", "zbar", "2*z^2*zbar - 0.5"):
+            vb, _ = czop.boundary_transform(L_SHAPE, P, z)
+            vp, _ = czop.pv_transform(kernel, L_SHAPE, czop.parse_cpoly(P), [z.real, z.imag])
+            assert abs(vb - vp) <= 1e-12 * max(1.0, abs(vb))
+    theta, _ = czop._ray_angles(L_SHAPE, np.array([3.0, 0.5]), 96)
+    ray, _, _ = L_SHAPE.ray_hits([3.0, 0.5], theta)
+    assert np.bincount(ray).max() == 2
