@@ -9,7 +9,7 @@ optimized checker and the brute-force oracle remain bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .czop import BoundaryEngine, CPoly, Kernel
 from .geometry import Disk, Polygon
 from .quadrature import CUBE_ORDER, tensor_rule
-from .whitney import Forest, OrientedCovering
+from .whitney import Forest, OrientedCovering, cube_values
 
 
 # ---------------------------------------------------------------------------
@@ -26,9 +26,11 @@ from .whitney import Forest, OrientedCovering
 
 @dataclass
 class CubeMeasure:
-    """Nonnegative mass per Whitney cube position."""
+    """Nonnegative mass per Whitney cube position; `flagged` lists the
+    positions whose mass two quadrature orders do not agree on."""
 
     mass: dict
+    flagged: list = field(default_factory=list)
 
     def total(self) -> float:
         return float(sum(self.mass.values()))
@@ -49,11 +51,9 @@ def cube_measure(oc: OrientedCovering, kernel: Kernel, lam, n: int, p: float) ->
     if kernel.order < n:
         raise ValueError("kernel order too small for the requested gradient")
     cov = oc.cov
-    sel = np.array(sorted({m for mem in oc.window_members for m in mem}), dtype=int)
+    sel = np.flatnonzero(oc.assigned_window >= 0)  # every canvas cube, ascending
     if kernel.name == "zero":
-        cm = CubeMeasure({int(i): 0.0 for i in sel})
-        cm.flagged = []
-        return cm
+        return CubeMeasure(dict.fromkeys(sel.tolist(), 0.0))
     dom = cov.domain
     if not isinstance(dom, (Disk, Polygon)):
         raise NotImplementedError("cube_measure needs a disk or polygon domain (transform routes)")
@@ -72,15 +72,8 @@ def cube_measure(oc: OrientedCovering, kernel: Kernel, lam, n: int, p: float) ->
             vals[start : start + chunk] = np.sum(w * tot**p, axis=1)
         results[tag] = vals
     hi_vals, lo_vals = results["hi"], results["lo"]
-    masses = {}
-    flagged = []
-    for t, i in enumerate(sel):
-        masses[int(i)] = float(hi_vals[t])
-        if abs(hi_vals[t] - lo_vals[t]) > 0.05 * abs(hi_vals[t]) + 1e-14:
-            flagged.append(int(i))
-    cm = CubeMeasure(masses)
-    cm.flagged = flagged
-    return cm
+    flagged = np.abs(hi_vals - lo_vals) > 0.05 * np.abs(hi_vals) + 1e-14
+    return CubeMeasure(dict(zip(sel.tolist(), hi_vals.tolist())), sel[flagged].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -229,45 +222,47 @@ def check_embedding(prob: TreeProblem, trials: int = 50, seed: int = 0) -> float
 # whitney-forest conditions
 
 
-def _forest_shadow_stats(oc, k, masses, p):
-    """Per member: shadow mass S and shadow-condition numerator term sum."""
-    members = oc.window_members[k]
-    if not members:
-        return members, np.zeros(0), np.zeros(0)
-    forest = oc.canvas_forest(k)
+def _shadow_masses(oc, mu, windows):
+    """(k, members, S) for each window k with a nonempty canvas: its
+    members, ascending, and the shadow mass S of each. The cube masses
+    become one array over the covering per call."""
+    mass = cube_values(mu.mass, len(oc.cov))
+    for k in windows:
+        members = np.asarray(oc.window_members[k], dtype=int)
+        if len(members):
+            yield k, members, oc.canvas_forest(k).subtree_sums(mass[members])
+
+
+def _shadow_sums(oc, k, members, S, p):
+    """Per member: the shadow-condition numerator, the canvas-subtree sum of
+    S^{p'} l^{(d-p)(1-p')}."""
     d = oc.cov.dim
     pp = p / (p - 1.0)
-    mu = np.asarray([masses.get(m, 0.0) for m in members], dtype=float)
-    sides = oc.cov.sides[members]
-    S = forest.subtree_sums(mu)
     with np.errstate(divide="ignore"):
-        term = np.where(S > 0, S**pp * sides ** ((d - p) * (1 - pp)), 0.0)
-    return members, S, forest.subtree_sums(term)
+        term = np.where(S > 0, S**pp * oc.cov.sides[members] ** ((d - p) * (1 - pp)), 0.0)
+    return oc.canvas_forest(k).subtree_sums(term)
 
 
 def check_shadow_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, P: int = None) -> dict:
     """Smallest C in the per-window shadow condition
       sum_{Q<=P} (sum_{S<=Q} mu(S))^{p'} l(Q)^{(d-p)(1-p')} <= C sum_{Q<=P} mu(Q);
     for a given cube P, or the sup over every P in every window canvas."""
-    masses = mu.mass
     if P is not None:
         if oc.central[P]:
             raise ValueError("shadow condition needs a peripheral cube")
-        k = int(oc.assigned_window[P])
-        members, S, T = _forest_shadow_stats(oc, k, masses, p)
-        i = members.index(P)
+        k, members, S = next(_shadow_masses(oc, mu, [int(oc.assigned_window[P])]))
+        T = _shadow_sums(oc, k, members, S, p)
+        i = int(np.searchsorted(members, P))
         c = T[i] / S[i] if S[i] > 0 else 0.0
         return {"constant": float(c), "window": k, "shadow_mass": float(S[i])}
     best, arg = 0.0, None
-    for k in range(len(oc.windows)):
-        members, S, T = _forest_shadow_stats(oc, k, masses, p)
-        if len(members) == 0:
-            continue
+    for k, members, S in _shadow_masses(oc, mu, range(len(oc.windows))):
+        T = _shadow_sums(oc, k, members, S, p)
         with np.errstate(divide="ignore", invalid="ignore"):
             cs = np.where(S > 0, T / np.where(S > 0, S, 1.0), 0.0)
         i = int(np.argmax(cs))
         if cs[i] > best:
-            best, arg = float(cs[i]), (k, members[i])
+            best, arg = float(cs[i]), (k, int(members[i]))
     return {"constant": best, "argmax": arg}
 
 
@@ -275,15 +270,11 @@ def check_growth(oc: OrientedCovering, mu: CubeMeasure, p: float) -> dict:
     """sup over canvas cubes of mu(Sh(Q)) / l(Q)^{d-p}."""
     d = oc.cov.dim
     best, arg = 0.0, None
-    for k in range(len(oc.windows)):
-        members, S, _ = _forest_shadow_stats(oc, k, mu.mass, p)
-        if len(members) == 0:
-            continue
-        sides = oc.cov.sides[members]
-        ratios = S / sides ** (d - p)
+    for k, members, S in _shadow_masses(oc, mu, range(len(oc.windows))):
+        ratios = S / oc.cov.sides[members] ** (d - p)
         i = int(np.argmax(ratios))
         if ratios[i] > best:
-            best, arg = float(ratios[i]), (k, members[i])
+            best, arg = float(ratios[i]), (k, int(members[i]))
     return {"constant": best, "argmax": arg}
 
 
@@ -325,11 +316,9 @@ def check_continuous_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, 
     d = cov.dim
     pp = p / (p - 1.0)
     a_point = np.asarray(a_point, float)
-    inside = np.all((cov.lo <= a_point) & (a_point < cov.hi), axis=1)
-    hits = np.where(inside)[0]
-    if len(hits) == 0:
+    a_pos = int(cov.containing(a_point)[0])
+    if a_pos < 0:
         raise ValueError("anchor point lies in no Whitney cube")
-    a_pos = int(hits[0])
     if oc.central[a_pos]:
         raise ValueError("anchor point must lie in a peripheral cube")
     k = int(oc.assigned_window[a_pos])
@@ -342,7 +331,7 @@ def check_continuous_condition(oc: OrientedCovering, mu: CubeMeasure, p: float, 
     loc_lo = np.minimum(*corners)
     loc_hi = np.maximum(*corners)
     members = oc.window_members[k]
-    masses = np.asarray([mu.get(m) for m in members])
+    masses = cube_values(mu.mass, len(cov))[members]
     mlo = loc_lo[members]
     mhi = loc_hi[members]
     vols = np.prod(mhi - mlo, axis=1)

@@ -102,10 +102,11 @@ def cmd_whitney(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write("pos,level,index,side,dist,central,successor,assigned_window\n")
-            for i, c in enumerate(cov.cubes):
-                idx = ";".join(str(v) for v in c.index)
+            rows = zip(cov.levels.tolist(), cov.indices.tolist(), cov.sides.tolist(), cov.dists.tolist())
+            for i, (level, index, side, dist) in enumerate(rows):
+                idx = ";".join(map(str, index))
                 fh.write(
-                    f"{i},{c.level},{idx},{c.side!r},{cov.dists[i]!r},"
+                    f"{i},{level},{idx},{side!r},{dist!r},"
                     f"{int(oc.central[i])},{int(oc.succ[i])},{int(oc.assigned_window[i])}\n"
                 )
     if args.dump:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -256,7 +257,7 @@ def verify_chain_bound(f, oc, q_pos: int, s_pos: int, n: int, order: int = 8) ->
                                       / l(P)^{d-1} * ||grad^n f||_{L^1(3P)}."""
     cov = oc.cov
     d = cov.dim
-    poly = project(f, cov.cubes[q_pos], n)
+    poly = project(f, SimpleNamespace(center=cov.centers[q_pos], side=cov.sides[q_pos]), n)
     lo, hi = cov.lo[s_pos], cov.hi[s_pos]
     pts, w = tensor_rule(lo, hi, order)
     lhs = float(np.sum(w * np.abs(f.derivative((0,) * d)(pts) - poly.evaluate(pts))))

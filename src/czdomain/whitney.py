@@ -14,52 +14,23 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Domain, GraphDomain
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Semi-open dyadic cube [idx*s, (idx+1)*s) with s = base * 2^-level."""
-
-    level: int
-    index: tuple
-    base: float
-
-    @property
-    def side(self) -> float:
-        return self.base * 2.0 ** (-self.level)
-
-    @property
-    def lo(self):
-        return np.asarray(self.index, dtype=float) * self.side
-
-    @property
-    def hi(self):
-        return (np.asarray(self.index, dtype=float) + 1.0) * self.side
-
-    @property
-    def center(self):
-        return (np.asarray(self.index, dtype=float) + 0.5) * self.side
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    def key(self):
-        return (self.level, self.index)
-
-
 class Covering:
-    """Unoriented Whitney covering (axioms W1-W6, truncated at min_side)."""
+    """Unoriented Whitney covering (axioms W1-W6, truncated at min_side).
 
-    def __init__(self, domain, cubes, dists, C_W, tau, min_side, base,
+    One table of cubes sorted by (level, index): cube i is the semi-open
+    dyadic cube [indices[i] * s, (indices[i] + 1) * s) with
+    s = sides[i] = base * 2^-levels[i]. A cube's position in the table is
+    its identity everywhere in the package."""
+
+    def __init__(self, domain, levels, indices, dists, C_W, tau, min_side, base,
                  dropped_count, dropped_volume, clip_box=None):
         self.domain = domain
-        self.cubes = cubes
         self.C_W = C_W
         self.tau = tau
         self.min_side = min_side
@@ -67,21 +38,34 @@ class Covering:
         self.dropped_count = dropped_count
         self.dropped_volume = dropped_volume
         self.clip_box = clip_box
-        n = len(cubes)
-        d = domain.dim
-        self.levels = np.array([c.level for c in cubes], dtype=int)
-        self.indices = np.array([c.index for c in cubes], dtype=np.int64).reshape(n, d)
-        self.sides = np.array([c.side for c in cubes])
+        levels = np.asarray(levels, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64).reshape(len(levels), domain.dim)
+        order = np.lexsort([indices[:, a] for a in range(domain.dim - 1, -1, -1)] + [levels])
+        self.levels = levels[order]
+        self.indices = indices[order]
+        self.sides = np.ldexp(float(base), -self.levels)
         self.lo = self.indices * self.sides[:, None]
         self.hi = (self.indices + 1) * self.sides[:, None]
         self.centers = (self.indices + 0.5) * self.sides[:, None]
-        self.dists = np.asarray(dists)
-        self.pos_of = {c.key(): i for i, c in enumerate(cubes)}
-        self.max_level = int(self.levels.max()) if n else 0
-        self._neighbors = None
+        self.dists = np.asarray(dists, dtype=float)[order]
+        self.max_level = int(self.levels.max(initial=0))
+        # locate() tables: per level, its slice of the table and a mixed-radix
+        # key of the index rows over a box holding them (and the origin); the
+        # keys increase along the slice because the table is sorted, and end
+        # with the sentinel prod(width), which no row in the box reaches
+        bounds = np.searchsorted(self.levels, np.arange(self.max_level + 2))
+        self._keys = []
+        for lev in range(self.max_level + 1):
+            idx = self.indices[bounds[lev] : bounds[lev + 1]]
+            low = idx.min(axis=0, initial=0)
+            width = idx.max(axis=0, initial=0) - low + 1
+            weight = np.cumprod(np.concatenate([width[1:], [1]])[::-1])[::-1]
+            keys = np.append((idx - low) @ weight, np.prod(width))
+            self._keys.append((int(bounds[lev]), low, width, weight, keys))
+        self._adjacency = None
 
     def __len__(self):
-        return len(self.cubes)
+        return len(self.levels)
 
     @property
     def dim(self):
@@ -90,51 +74,80 @@ class Covering:
     def volume(self) -> float:
         return float(np.sum(self.sides**self.dim))
 
+    def key(self, i: int):
+        """(level, index) of cube i as Python ints, for messages."""
+        return int(self.levels[i]), tuple(self.indices[i].tolist())
+
+    # -- lookup ------------------------------------------------------------
+
+    def locate(self, level: int, rows):
+        """Position of the cube (level, row) for each index row, -1 where
+        the covering holds no such cube."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.dim)
+        if not 0 <= level <= self.max_level:
+            return np.full(len(rows), -1, dtype=np.int64)
+        start, low, width, weight, keys = self._keys[level]
+        rel = rows - low
+        key = np.where(np.all((rel >= 0) & (rel < width), axis=1), rel @ weight, keys[-1])
+        at = np.searchsorted(keys, key)
+        return np.where((keys[at] == key) & (at < len(keys) - 1), start + at, -1)
+
+    def containing(self, points):
+        """Position of the cube holding each point, -1 where none does."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.full(len(points), -1, dtype=np.int64)
+        for lev in np.unique(self.levels).tolist():
+            todo = np.flatnonzero(out < 0)
+            cells = np.floor(points[todo] / (self.base * 2.0 ** (-float(lev)))).astype(np.int64)
+            out[todo] = self.locate(lev, cells)
+        return out
+
     # -- neighbor structure ------------------------------------------------
 
-    def _unit_coords(self):
-        # integer corner coordinates in units of the finest side
-        shift = (self.max_level - self.levels).astype(np.int64)
-        scale = np.int64(1) << shift
-        ulo = self.indices * scale[:, None]
-        uhi = (self.indices + 1) * scale[:, None]
-        return ulo, uhi, scale
+    def adjacency(self):
+        """Neighbours as CSR arrays (indptr, nbr): the cubes whose closures
+        meet cube i's are nbr[indptr[i]:indptr[i + 1]], ascending.
+
+        Each touching pair is found from its finer member: a cube of level
+        j touches the cube (j2 <= j, c) exactly when on every axis
+        (idx - 1) >> (j - j2) <= c <= (idx + 1) >> (j - j2) (closed boxes,
+        integer arithmetic), and those c lie among the 3^d offsets of
+        idx >> (j - j2)."""
+        if self._adjacency is None:
+            offsets = np.array(list(itertools.product((-1, 0, 1), repeat=self.dim)), dtype=np.int64)
+            src, dst = [], []
+            present = np.unique(self.levels).tolist()
+            for j in present:
+                fine = np.flatnonzero(self.levels == j)
+                idx = self.indices[fine]
+                for j2 in present[: present.index(j) + 1]:
+                    lo, hi, mid = (idx - 1) >> (j - j2), (idx + 1) >> (j - j2), idx >> (j - j2)
+                    for off in offsets[offsets.any(axis=1)] if j2 == j else offsets:
+                        ok = np.flatnonzero(np.all((lo <= mid + off) & (mid + off <= hi), axis=1))
+                        k = self.locate(j2, mid[ok] + off)
+                        src.append(fine[ok[k >= 0]])
+                        dst.append(k[k >= 0])
+            src, dst = np.concatenate(src), np.concatenate(dst)
+            cross = self.levels[src] != self.levels[dst]  # same-level pairs are found from both sides
+            src, dst = np.concatenate([src, dst[cross]]), np.concatenate([dst, src[cross]])
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(self)))])
+            self._adjacency = (indptr, dst[np.lexsort((dst, src))])
+        return self._adjacency
 
     def neighbors(self):
-        """Adjacency lists: cubes whose closures intersect (exact, integer).
+        """Per-cube neighbour arrays: views into the CSR arrays of adjacency()."""
+        indptr, nbr = self.adjacency()
+        return np.split(nbr, indptr[1:-1])
 
-        Each touching pair is discovered from its finer member, which only
-        has O(3^d) coarse candidates per level; no ring scans needed."""
-        if self._neighbors is not None:
-            return self._neighbors
-        n = len(self.cubes)
-        d = self.dim
-        ulo, uhi, _ = self._unit_coords()
-        by_level = {}
-        for i in range(n):
-            by_level.setdefault(int(self.levels[i]), {})[tuple(self.indices[i])] = i
-        adj = [set() for _ in range(n)]
-        levels_present = sorted(by_level)
-        for i in range(n):
-            j = int(self.levels[i])
-            for j2 in levels_present:
-                if j2 > j:
-                    break  # pairs found from the finer side
-                shift2 = self.max_level - j2
-                lo2 = tuple((int(ulo[i, a]) - 1) >> shift2 for a in range(d))
-                hi2 = tuple(int(uhi[i, a]) >> shift2 for a in range(d))
-                table = by_level[j2]
-                for tup in itertools.product(*[range(lo2[a], hi2[a] + 1) for a in range(d)]):
-                    k = table.get(tup)
-                    if k is None or k == i:
-                        continue
-                    if j == j2 and k < i:
-                        continue  # same level: record each pair once
-                    if all(ulo[i, a] <= uhi[k, a] and ulo[k, a] <= uhi[i, a] for a in range(d)):
-                        adj[i].add(k)
-                        adj[k].add(i)
-        self._neighbors = [sorted(s) for s in adj]
-        return self._neighbors
+    def neighbor_pairs(self, cubes):
+        """(src, dst) over every neighbour of each of `cubes`: src repeats
+        each cube once per neighbour, in the given order; dst lists its
+        neighbours ascending."""
+        indptr, nbr = self.adjacency()
+        cubes = np.asarray(cubes, dtype=np.int64).reshape(-1)
+        count = indptr[cubes + 1] - indptr[cubes]
+        start = np.repeat(indptr[cubes] - (np.cumsum(count) - count), count)
+        return np.repeat(cubes, count), nbr[start + np.arange(len(start))]
 
     # -- gap distances -----------------------------------------------------
 
@@ -187,7 +200,8 @@ def build_covering(domain: Domain, min_side: float, C_W: float = 1.125) -> Cover
     clip_lo, clip_hi = (lo_bb, hi_bb) if clip else (None, None)
     eps = 1e-12 * extent
 
-    cubes = []
+    levels = []
+    indices = []
     dists = []
     dropped = 0
     dropped_vol = 0.0
@@ -216,9 +230,9 @@ def build_covering(domain: Domain, min_side: float, C_W: float = 1.125) -> Cover
         keep &= ~((dist > 0.0) & ~center_in)  # entirely outside the open set
         accept = keep & inside_clip & (dist >= tau * side) & center_in
         rest = keep & ~accept
-        for m in np.where(accept)[0]:
-            cubes.append(Cube(level, tuple(int(v) for v in frontier[m]), base))
-            dists.append(float(dist[m]))
+        levels.append(np.full(int(np.sum(accept)), level))
+        indices.append(frontier[accept])
+        dists.append(dist[accept])
         if side / 2.0 >= min_side * (1.0 - 1e-12):
             parents = frontier[rest]
             frontier = (2 * parents[:, None, :] + offsets[None, :, :]).reshape(-1, d)
@@ -227,12 +241,10 @@ def build_covering(domain: Domain, min_side: float, C_W: float = 1.125) -> Cover
             dropped += int(np.sum(rest))
             dropped_vol += float(np.sum(rest)) * side**d
             frontier = np.empty((0, d), dtype=np.int64)
-    if not cubes:
+    if not sum(map(len, levels)):
         raise ValueError("covering is empty; domain may have empty interior")
-    order = sorted(range(len(cubes)), key=lambda m: (cubes[m].level,) + cubes[m].index)
-    cubes = [cubes[i] for i in order]
-    dists = [dists[i] for i in order]
-    return Covering(domain, cubes, dists, C_W, tau, min_side, base, dropped, dropped_vol,
+    return Covering(domain, np.concatenate(levels), np.concatenate(indices), np.concatenate(dists),
+                    C_W, tau, min_side, base, dropped, dropped_vol,
                     clip_box=(clip_lo, clip_hi) if clip else None)
 
 
@@ -242,12 +254,11 @@ def build_covering(domain: Domain, min_side: float, C_W: float = 1.125) -> Cover
 
 def check_w2(cov: Covering) -> bool:
     """Pairwise disjoint interiors: no dyadic ancestor/descendant pairs."""
-    for c in cov.cubes:
-        idx = c.index
-        for up in range(1, c.level + 1):
-            anc = (c.level - up, tuple(v >> up for v in idx))
-            if anc in cov.pos_of:
-                return False
+    for lev in range(cov.max_level):
+        finer = cov.levels > lev
+        ancestors = cov.indices[finer] >> (cov.levels[finer] - lev)[:, None]
+        if np.any(cov.locate(lev, ancestors) >= 0):
+            return False
     return True
 
 
@@ -259,11 +270,8 @@ def check_w4(cov: Covering):
 
 def check_w5(cov: Covering):
     """Neighbor side ratio <= 2, i.e. |level difference| <= 1."""
-    adj = cov.neighbors()
-    worst = 0
-    for i, nbrs in enumerate(adj):
-        for k in nbrs:
-            worst = max(worst, abs(int(cov.levels[i]) - int(cov.levels[k])))
+    src, dst = cov.neighbor_pairs(np.arange(len(cov)))
+    worst = int(np.abs(cov.levels[src] - cov.levels[dst]).max(initial=0))
     return worst <= 1, worst
 
 
@@ -345,21 +353,12 @@ def coverage_audit(cov: Covering, margin: float = 8.0, n_samples: int = 4096, se
     pts = rng.uniform(lo, hi, size=(n_samples, cov.dim))
     inside = cov.domain.contains(pts)
     deep = cov.domain.dist_to_boundary(pts) > margin * cov.min_side
-    test = pts[inside & deep]
-    covered = np.zeros(len(test), dtype=bool)
-    # locate each point's dyadic cell per level
-    for lev in np.unique(cov.levels):
-        side = cov.base * 2.0 ** (-float(lev))
-        idx = np.floor(test / side).astype(np.int64)
-        table = {tuple(cov.indices[i]): True for i in np.where(cov.levels == lev)[0]}
-        for m in range(len(test)):
-            if not covered[m] and tuple(idx[m]) in table:
-                covered[m] = True
+    covered = cov.containing(pts[inside & deep]) >= 0
     return {
         "cube_volume": vol,
         "domain_volume": target,
         "missing_volume": (target - vol) if np.isfinite(target) else float("nan"),
-        "deep_points": int(len(test)),
+        "deep_points": int(len(covered)),
         "uncovered_deep_points": int(np.sum(~covered)),
     }
 
@@ -504,9 +503,8 @@ class OrientedCovering:
 
         # one pass per window: canvas members, their fathers, and the
         # successor of each cube in the first window whose canvas holds it
-        self.window_members = []
+        members_of = []
         self.canvas_fathers = []
-        self.memberships = [[] for _ in range(n)]
         assigned = np.full(n, -1, dtype=int)
         succ = np.full(n, -1, dtype=int)
         for k, win in enumerate(self.windows):
@@ -516,43 +514,47 @@ class OrientedCovering:
             ok = np.all(np.maximum(-t_lo, t_hi) <= half, axis=1) & (np.maximum(-y_lo, y_hi) <= half)
             members = peripheral[ok]
             fathers = self._fathers(members, k)
-            self.window_members.append(members.tolist())
+            members_of.append(members)
             self.canvas_fathers.append(fathers)
-            for m in self.window_members[-1]:
-                self.memberships[m].append(k)
             new = assigned[members] < 0
             assigned[members[new]] = k
             succ[members[new]] = fathers[new]
+        self.window_members = [m.tolist() for m in members_of]
+        # each cube's canvases, ascending: the window column grouped by cube
+        cubes = np.concatenate(members_of + [np.zeros(0, dtype=int)])
+        wins = np.repeat(np.arange(len(members_of)), [len(m) for m in members_of])
+        by_cube = np.argsort(cubes, kind="stable")
+        self.memberships = np.split(wins[by_cube], np.searchsorted(cubes[by_cube], np.arange(1, n)))
         self.assigned_window = assigned
         bad = peripheral[assigned[peripheral] < 0]
         if len(bad):
             raise OrientationError(
-                f"{len(bad)} peripheral cube(s) fit no window canvas (first: {cov.cubes[bad[0]].key()})"
+                f"{len(bad)} peripheral cube(s) fit no window canvas (first: {cov.key(bad[0])})"
             )
 
-        # root: largest central cube, lexicographic ties
+        # root: largest central cube, lexicographic ties (the table's order)
         central_pos = np.where(self.central)[0]
         if len(central_pos) == 0:
             raise OrientationError("no central cubes; window side too large?")
-        keys = sorted(central_pos, key=lambda i: (int(cov.levels[i]),) + tuple(cov.indices[i]))
-        self.root = int(keys[0])
+        self.root = int(central_pos[0])
 
-        # BFS tree over central cubes, deterministic neighbor order
-        adj = cov.neighbors()
+        # BFS tree over central cubes, one frontier at a time: a cube joins
+        # the next frontier from the first frontier cube (in frontier order)
+        # that neighbours it, and frontier cubes keep first-discovery order,
+        # which is the order of a FIFO queue scanning ascending neighbours
         parent = np.full(n, -1, dtype=int)
-        seen = np.zeros(n, dtype=bool)
-        order = [self.root]
+        seen = ~self.central
         seen[self.root] = True
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for v in adj[u]:
-                if self.central[v] and not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-        self.central_connected = bool(np.all(seen[central_pos]))
+        frontier = np.array([self.root])
+        while len(frontier):
+            src, dst = cov.neighbor_pairs(frontier)
+            fresh = ~seen[dst]
+            src, dst = src[fresh], dst[fresh]
+            first = np.sort(np.unique(dst, return_index=True)[1])
+            frontier = dst[first]
+            parent[frontier] = src[first]
+            seen[frontier] = True
+        self.central_connected = bool(np.all(seen))
         if not self.central_connected:
             raise OrientationError("central cubes do not form a connected set")
 
@@ -563,7 +565,7 @@ class OrientedCovering:
                 raise OrientationError(f"no cube above any member of window {k}")
             if len(orphans):
                 m = self.window_members[k][orphans[0]]
-                raise OrientationError(f"cube {cov.cubes[m].key()} has no cube above it in window {k}")
+                raise OrientationError(f"cube {cov.key(m)} has no cube above it in window {k}")
 
         # successor pointers: father in the assigned window, else BFS parent
         succ[self.central] = parent[self.central]
@@ -580,9 +582,7 @@ class OrientedCovering:
         window k's canvas, members ascending: the neighbor above with maximal
         horizontal overlap, exact-float ties broken by (level, index); -1
         where no neighbor lies above."""
-        adj = self.cov.neighbors()
-        src = np.repeat(members, [len(adj[m]) for m in members])
-        dst = np.array([v for m in members for v in adj[m]], dtype=int)
+        src, dst = self.cov.neighbor_pairs(members)
         nodes = np.union1d(members, dst)
         boxes = self._local_boxes(k, nodes)
         above, measure = self._stacked(boxes, np.searchsorted(nodes, dst), np.searchsorted(nodes, src))
@@ -643,7 +643,7 @@ class OrientedCovering:
         while not self.central[cur]:
             if len(path) > len(self.cov):
                 raise OrientationError("anchored ascent failed to reach a central cube")
-            nbrs = np.asarray(self.cov.neighbors()[cur], dtype=int)
+            nbrs = self.cov.neighbor_pairs([cur])[1]
             boxes = self._local_boxes(k, np.concatenate([[i, cur], nbrs]))
             rows = np.arange(2, len(nbrs) + 2)
             above, ov_cur = self._stacked(boxes, rows, 1)
@@ -660,8 +660,8 @@ class OrientedCovering:
         return path
 
     def common_canvas(self, i: int, j: int):
-        both = sorted(set(self.memberships[i]) & set(self.memberships[j]))
-        return both[0] if both else None
+        both = np.intersect1d(self.memberships[i], self.memberships[j])
+        return int(both[0]) if len(both) else None
 
     def chain(self, i: int, j: int):
         """Chain [Q, S] following the three chain-function rules."""
@@ -677,20 +677,19 @@ class OrientedCovering:
         if i in ps:
             return list(reversed(ps[: ps.index(i) + 1]))
         in_ps = {p: m for m, p in enumerate(ps)}
-        adj = self.cov.neighbors()
         for a, p in enumerate(pq):
             if p in in_ps:
                 # paths merge at p: descend [S .. p) reversed
                 return pq[: a + 1] + list(reversed(ps[: in_ps[p]]))
-            hits = [in_ps[v] for v in adj[p] if v in in_ps]
+            hits = [in_ps[v] for v in self.cov.neighbor_pairs([p])[1].tolist() if v in in_ps]
             if hits:
                 m = min(hits)  # first neighbor of Q_S along [S, Q0]
                 return pq[: a + 1] + list(reversed(ps[: m + 1]))
         raise OrientationError("chain construction failed (disconnected covering?)")
 
     def chain_is_valid(self, path) -> bool:
-        adj = self.cov.neighbors()
-        return all(path[m + 1] in adj[path[m]] for m in range(len(path) - 1))
+        src, dst = self.cov.neighbor_pairs(path[:-1])
+        return set(zip(path[:-1], path[1:])) <= set(zip(src.tolist(), dst.tolist()))
 
     # order ------------------------------------------------------------------
 
@@ -714,6 +713,16 @@ def orient(cov: Covering, windows=None, delta0: float = None, delta2: float = No
 # discrete maximal function and the summation lemmas
 
 
+def cube_values(g, n: int):
+    """Per-cube values as an array over positions 0..n-1: a dict maps
+    position -> value (0 where absent), anything else is read as an array."""
+    if isinstance(g, dict):
+        out = np.zeros(n)
+        out[list(g)] = list(g.values())
+        return out
+    return np.asarray(g, dtype=float)
+
+
 def maximal(oc_or_cov, g, i: int) -> float:
     """Discrete surrogate for inf_{y in Q} Mg: max over dilates rQ,
     r in {1, 2, 4, ...}, of the cube-averaged mass of g inside rQ.
@@ -722,7 +731,7 @@ def maximal(oc_or_cov, g, i: int) -> float:
     the cube, spread uniformly)."""
     cov = oc_or_cov.cov if isinstance(oc_or_cov, OrientedCovering) else oc_or_cov
     d = cov.dim
-    masses = np.array([g.get(p, 0.0) if isinstance(g, dict) else g[p] for p in range(len(cov))])
+    masses = cube_values(g, len(cov))
     if np.any(masses < 0):
         raise ValueError("maximal() requires nonnegative masses")
     span = float(np.max(cov.hi) - np.min(cov.lo))
@@ -775,10 +784,9 @@ def verify_sum_lemmas(oc: OrientedCovering, a: float, b: float, eta: float, r: f
         step = max(1, n // max_anchor_cubes)
         anchors = range(0, n, step)
     worst, least = 0.0, float("inf")
-    pow_src = cov.sides**a
     for i in anchors:
         D = oc.cov.long_distance_row(i)
-        val = float(np.sum(pow_src / D**b))
+        val = float(np.sum(pow_a / D**b))
         ratio = val / cov.sides[i] ** (a - b)
         worst = max(worst, ratio)
         least = min(least, ratio)
@@ -786,7 +794,7 @@ def verify_sum_lemmas(oc: OrientedCovering, a: float, b: float, eta: float, r: f
 
     # maximal-function bounds with the supplied cube masses
     if g is not None:
-        masses = np.array([g.get(p, 0.0) if isinstance(g, dict) else g[p] for p in range(n)])
+        masses = cube_values(g, n)
         anchor_list = list(anchors)
         picks = anchor_list[:: max(1, len(anchor_list) // 50)] if n > 50 else list(range(n))
         worst1 = worst2 = worst3 = 0.0
@@ -819,10 +827,10 @@ def dump_covering(oc: OrientedCovering, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# whitney-covering v1 dim={cov.dim} base={cov.base!r} "
                  f"C_W={cov.C_W!r} tau={cov.tau!r} min_side={cov.min_side!r}\n")
-        for i, c in enumerate(cov.cubes):
-            idx = ",".join(str(v) for v in c.index)
-            wins = ",".join(str(k) for k in oc.memberships[i]) or "-"
-            fh.write(f"{c.level} {idx} {int(oc.central[i])} {int(oc.succ[i])} "
+        for i, (level, index) in enumerate(zip(cov.levels.tolist(), cov.indices.tolist())):
+            idx = ",".join(map(str, index))
+            wins = ",".join(map(str, oc.memberships[i].tolist())) or "-"
+            fh.write(f"{level} {idx} {int(oc.central[i])} {int(oc.succ[i])} "
                      f"{int(oc.assigned_window[i])} {wins}\n")
 
 

@@ -85,8 +85,8 @@ def test_criterion_2_summation_lemmas(domain_list):
         v33 = abs(float(r33[10].max()) / float(r33[9].max()) - 1.0)
         m34 = {9: 0.0, 10: 0.0}
         for i9 in anchors9:
-            key = cov9.cubes[i9].key()
-            i10 = cov10.pos_of[key]
+            i10 = int(cov10.locate(int(cov9.levels[i9]), cov9.indices[i9])[0])
+            assert i10 >= 0
             for dexp, i in ((9, i9), (10, i10)):
                 cov = covs[dexp][0]
                 D = cov.long_distance_row(i)

@@ -56,6 +56,10 @@ def test_whitney_command(tmp_path):
     lines = rep.read_text().strip().splitlines()
     assert lines[0].startswith("pos,level,index")
     assert len(lines) == summary["cubes"] + 1
+    head = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(head, line.split(",")))
+        assert float(row["side"]) > 0 and float(row["dist"]) > 0
 
 
 def test_transform_command(tmp_path):

@@ -84,7 +84,7 @@ def test_project_all_matches_project(disk_oc):
     degrees, coeffs = poly.project_cubes(f, cov.centers, cov.sides, 3)
     assert coeffs.shape == (len(cov), len(degrees))
     for i in (0, len(cov) // 3, len(cov) - 1):
-        single = poly.project(f, cov.cubes[i], 3)
+        single = poly.project(f, Box(cov.centers[i], cov.sides[i]), 3)
         assert list(single.coeffs) == degrees
         for k, gamma in enumerate(degrees):
             assert coeffs[i, k] == pytest.approx(single.coeffs[gamma], abs=1e-12)

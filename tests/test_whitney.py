@@ -25,6 +25,86 @@ def test_axioms_on_standard_domains(disk_oc, square_oc, zigzag05_oc):
         assert ok5, f"W5 level gap {gap}"
 
 
+def _neighbors_by_tuple_probes(cov):
+    """Reference adjacency: per cube and per coarser-or-equal level, probe
+    every candidate index tuple in a dict and test closure overlap in
+    integer units of the finest side."""
+    n, d = len(cov), cov.dim
+    scale = np.int64(1) << (cov.max_level - cov.levels).astype(np.int64)
+    ulo = cov.indices * scale[:, None]
+    uhi = (cov.indices + 1) * scale[:, None]
+    by_level = {}
+    for i in range(n):
+        by_level.setdefault(int(cov.levels[i]), {})[tuple(cov.indices[i])] = i
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        j = int(cov.levels[i])
+        for j2 in sorted(by_level):
+            if j2 > j:
+                break
+            shift2 = cov.max_level - j2
+            lo2 = tuple((int(ulo[i, a]) - 1) >> shift2 for a in range(d))
+            hi2 = tuple(int(uhi[i, a]) >> shift2 for a in range(d))
+            for tup in itertools.product(*[range(lo2[a], hi2[a] + 1) for a in range(d)]):
+                k = by_level[j2].get(tup)
+                if k is None or k == i or (j == j2 and k < i):
+                    continue
+                if all(ulo[i, a] <= uhi[k, a] and ulo[k, a] <= uhi[i, a] for a in range(d)):
+                    adj[i].add(k)
+                    adj[k].add(i)
+    return [sorted(s) for s in adj]
+
+
+def test_csr_neighbors_match_tuple_probes(disk, disk_oc, square_oc, zigzag05_oc, halfspace_oc):
+    cw1 = whitney.build_covering(disk, min_side=2.0**-6, C_W=1.0)  # W5 only checked here
+    for cov in (disk_oc.cov, square_oc.cov, zigzag05_oc.cov, halfspace_oc.cov, cw1):
+        want = _neighbors_by_tuple_probes(cov)
+        indptr, nbr = cov.adjacency()
+        assert len(indptr) == len(cov) + 1 and indptr[-1] == len(nbr)
+        assert [a.tolist() for a in cov.neighbors()] == want
+        src, dst = cov.neighbor_pairs(np.arange(len(cov))[::-1])
+        assert dst.tolist() == [v for u in reversed(range(len(cov))) for v in want[u]]
+
+
+def test_locate_round_trip(disk_oc, square_oc, zigzag05_oc):
+    for cov in (disk_oc.cov, square_oc.cov, zigzag05_oc.cov):
+        for lev in np.unique(cov.levels).tolist():
+            at = np.flatnonzero(cov.levels == lev)
+            assert cov.locate(lev, cov.indices[at]).tolist() == at.tolist()
+            # every row of the level's bounding box, grown by one, against a dict
+            pos = {tuple(r): i for r, i in zip(cov.indices[at].tolist(), at.tolist())}
+            lo, hi = cov.indices[at].min(axis=0), cov.indices[at].max(axis=0)
+            grid = np.array(list(itertools.product(*[range(a - 1, b + 2) for a, b in zip(lo, hi)])))
+            assert cov.locate(lev, grid).tolist() == [pos.get(tuple(r), -1) for r in grid.tolist()]
+            assert np.all(cov.locate(lev, cov.indices[at] + (np.int64(1) << 40)) == -1)
+        # levels outside the table, and no rows
+        assert np.all(cov.locate(cov.max_level + 1, cov.indices[:3]) == -1)
+        assert np.all(cov.locate(-1, cov.indices[:3]) == -1)
+        assert cov.locate(0, np.zeros((0, cov.dim), dtype=np.int64)).tolist() == []
+        # every cube's centre lies in that cube
+        assert cov.containing(cov.centers).tolist() == list(range(len(cov)))
+
+
+def _array_covering(square, levels, indices):
+    return whitney.Covering(square, levels, indices, np.ones(len(levels)), 1.125, 1.5, 2.0**-8, 1.0, 0, 0.0)
+
+
+def test_w2_detects_an_injected_child(square):
+    cov = _array_covering(square, [1, 1, 1, 1], [[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert whitney.check_w2(cov)
+    cov = _array_covering(square, [1, 1, 1, 1, 3], [[0, 0], [0, 1], [1, 0], [1, 1], [5, 2]])
+    assert not whitney.check_w2(cov)
+
+
+def test_w5_reports_a_level_gap_of_two(square):
+    # [0, 1)^2 at level 0 touches [1, 1.25) x [0.75, 1) at level 2
+    cov = _array_covering(square, [2, 0], [[4, 3], [0, 0]])
+    assert cov.levels.tolist() == [0, 2]  # the table is sorted by (level, index)
+    assert [a.tolist() for a in cov.neighbors()] == [[1], [0]]
+    assert whitney.check_w5(cov) == (False, 2)
+    assert whitney.check_w5(_array_covering(square, [0, 1], [[0, 0], [2, 1]])) == (True, 1)
+
+
 def _w6_direct(cov, dilation):
     """Direct W6 count: every cube centre against every same-level cube."""
     pts = cov.centers
@@ -410,14 +490,13 @@ def test_maximal_refinement_stability(disk):
     cov2 = whitney.orient(whitney.build_covering(disk, 2.0**-6, C_W=1.125))
     g1 = {i: cov1.cov.sides[i] ** 2 for i in range(len(cov1.cov))}
     g2 = {i: cov2.cov.sides[i] ** 2 for i in range(len(cov2.cov))}
-    # compare at matching cubes (same key)
-    keys2 = {cov2.cov.cubes[i].key(): i for i in range(len(cov2.cov))}
+    # compare at matching cubes (same level and index)
     checked = 0
     for i in range(0, len(cov1.cov), 37):
-        k = cov1.cov.cubes[i].key()
-        if k in keys2:
+        i2 = int(cov2.cov.locate(int(cov1.cov.levels[i]), cov1.cov.indices[i])[0])
+        if i2 >= 0:
             v1 = whitney.maximal(cov1, g1, i)
-            v2 = whitney.maximal(cov2, g2, keys2[k])
+            v2 = whitney.maximal(cov2, g2, i2)
             assert 0.5 <= v1 / v2 <= 2.0
             checked += 1
     assert checked > 5
@@ -524,8 +603,8 @@ def test_dump_load_roundtrip(tmp_path, zigzag05_oc):
     assert data["meta"]["dim"] == 2
     assert len(data["cubes"]) == len(cov)
     row = data["cubes"][10]
-    assert row["level"] == cov.cubes[10].level
-    assert row["index"] == cov.cubes[10].index
+    assert row["level"] == cov.levels[10]
+    assert row["index"] == tuple(cov.indices[10])
     assert row["central"] == bool(zigzag05_oc.central[10])
     assert row["succ"] == int(zigzag05_oc.succ[10])
 
