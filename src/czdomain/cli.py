@@ -15,7 +15,7 @@ import numpy as np
 
 from . import carleson, czop, fields, keylemma, whitney
 from .config import ConfigError, config_hash, load_domain, parse_side
-from .geometry import zigzag_graph_domain
+from .geometry import UnsupportedDomainError, zigzag_graph_domain
 
 SCHEMA_VERSION = 1
 
@@ -444,6 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
+        return 2
+    except UnsupportedDomainError as e:
+        sys.stderr.write(f"unsupported domain: {e}\n")
         return 2
     except (ValueError, NotImplementedError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -349,11 +349,18 @@ class Disk(Domain):
         return ray, t0[ray], t1[ray]
 
 
+class UnsupportedDomainError(ValueError):
+    """A domain the window construction cannot parameterize."""
+
+
 class _LocalPolylineGraph:
     """Graph function backed by boundary segments in window-local coords.
 
     Inside the doubled window box the boundary must be single-valued over
-    the horizontal coordinate; ambiguity marks an invalid window."""
+    the horizontal coordinate; ambiguity marks an invalid window. The graph
+    is kept where |y| <= HALF_HEIGHT * side."""
+
+    HALF_HEIGHT = 1.05
 
     def __init__(self, segments, side):
         self.segments = segments  # list of (p, q) local 2-d points
@@ -363,7 +370,7 @@ class _LocalPolylineGraph:
     def __call__(self, t):
         t = np.asarray(t, float).reshape(-1)
         out = np.full(t.shape, np.nan)
-        span = 1.05 * self.side
+        span = self.HALF_HEIGHT * self.side
         tol = 1e-9 * self.side
         for p, q in self.segments:
             t0, t1 = p[0], q[0]
@@ -407,8 +414,10 @@ class Polygon(Domain):
         if np.min(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)) < 1e-12:
             raise ValueError("polygon has repeated vertices")
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        self._given_order = np.arange(len(v))
         if area2 < 0:
             v = v[::-1].copy()
+            self._given_order = self._given_order[::-1]
             area2 = -area2
         self.vertices = v
         self._area = 0.5 * area2
@@ -495,6 +504,28 @@ class Polygon(Domain):
             out.append(bis)
         return out
 
+    def corner_angles(self):
+        """Interior angle at each vertex, in radians, in (0, 2 pi)."""
+        v = self.vertices
+        a, b = v - np.roll(v, 1, axis=0), np.roll(v, -1, axis=0) - v
+        turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.sum(a * b, axis=1))
+        return np.pi - turn
+
+    def _check_corner_angles(self):
+        """A window on a corner's bisector sees both edges at slope
+        |cot(angle / 2)|; its graph must reach |t| = R inside the graph box
+        |y| <= HALF_HEIGHT R, which bounds that slope by HALF_HEIGHT."""
+        limit = _LocalPolylineGraph.HALF_HEIGHT
+        lo = math.degrees(2.0 * math.atan(1.0 / limit))
+        for i, angle in enumerate(self.corner_angles().tolist()):
+            if abs(math.cos(angle / 2.0)) > limit * math.sin(angle / 2.0):
+                x, y = self.vertices[i].tolist()
+                raise UnsupportedDomainError(
+                    f"polygon corner {int(self._given_order[i])} at ({x:g}, {y:g}) has interior angle "
+                    f"{math.degrees(angle):.1f} degrees; corner windows need angles between "
+                    f"{lo:.1f} and {360.0 - lo:.1f} degrees"
+                )
+
     def _local_boundary_segments(self, window_center, rotation, side):
         segs = []
         pad = 1.25 * side
@@ -510,6 +541,7 @@ class Polygon(Domain):
     def windows(self):
         if self._windows is not None:
             return self._windows
+        self._check_corner_angles()
         R = self.window_side
         v = self.vertices
         bis = self._corner_bisectors()

@@ -12,6 +12,7 @@ is guaranteed or merely checked.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -472,8 +473,11 @@ class OrientedCovering:
         offsets = np.array(list(itertools.product((0, 1), repeat=d)), dtype=float)
         corners = cov.lo[cubes][:, None, :] + offsets * cov.sides[cubes][:, None, None]
         loc = self.windows[k].to_local(corners.reshape(-1, d)).reshape(len(cubes), 1 << d, d)
-        t, y = loc[:, :, :-1], loc[:, :, -1]
-        return t.min(axis=1), t.max(axis=1), y.min(axis=1), y.max(axis=1)
+        # elementwise over the corner columns: far faster than a reduction
+        # along the short corner axis, and min/max are exact either way
+        corners = [loc[:, j] for j in range(1 << d)]
+        lo, hi = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
+        return lo[:, :-1], hi[:, :-1], lo[:, -1], hi[:, -1]
 
     def _stacked(self, boxes, upper, lower):
         """For rows of `boxes` (from _local_boxes): whether each upper box
@@ -485,11 +489,30 @@ class OrientedCovering:
         above = np.all(ov > tol, axis=1) & (y_hi[upper] > y_hi[lower] + tol)
         return above, np.prod(np.maximum(ov, 0.0), axis=1)
 
-    def _preference(self, cubes, score):
-        """np.lexsort keys ranking cubes by descending score, then ascending
-        (level, index)."""
-        idx = self.cov.indices[cubes]
-        return [idx[:, a] for a in range(idx.shape[1] - 1, -1, -1)] + [self.cov.levels[cubes], -score]
+    def _canvas_candidates(self, cubes):
+        """For each window in turn, the cubes of `cubes` (ascending) that can
+        lie in its canvas, ascending.
+
+        Every corner of a member lies in the window's local sup-box of
+        half-side h = delta0 side/2, so its centre does too and, the frame
+        being a rotation, lies within h sqrt(d) of the window centre. On a
+        grid of that cell side (plus 1e-9 against rounding) a member's
+        centre is thus in the window centre's cell or one of the 3^d - 1
+        cells around it."""
+        d = self.cov.dim
+        cell = math.sqrt(d) * self.delta0 * max(w.side for w in self.windows) / 2.0 * (1.0 + 1e-9)
+        keys = np.floor(self.cov.centers[cubes] / cell).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        keys, cubes = keys[order], cubes[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        bins = dict(zip(map(tuple, keys[starts].tolist()), np.split(cubes, starts[1:])))
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=np.int64)
+        empty = np.zeros(0, dtype=cubes.dtype)
+        for win in self.windows:
+            home = np.floor(win.center / cell).astype(np.int64)
+            yield np.sort(np.concatenate([bins.get(c, empty) for c in map(tuple, (home + offsets).tolist())]))
 
     # orientation proper ----------------------------------------------------
 
@@ -507,13 +530,14 @@ class OrientedCovering:
         self.canvas_fathers = []
         assigned = np.full(n, -1, dtype=int)
         succ = np.full(n, -1, dtype=int)
-        for k, win in enumerate(self.windows):
+        where = np.full(n, -1, dtype=int)  # _fathers' position map, reset after each call
+        for k, (win, cand) in enumerate(zip(self.windows, self._canvas_candidates(peripheral))):
             # members: every corner in the window's box of half-side delta0 R/2
-            t_lo, t_hi, y_lo, y_hi = self._local_boxes(k, peripheral)
+            t_lo, t_hi, y_lo, y_hi = boxes = self._local_boxes(k, cand)
             half = self.delta0 * win.side / 2.0
             ok = np.all(np.maximum(-t_lo, t_hi) <= half, axis=1) & (np.maximum(-y_lo, y_hi) <= half)
-            members = peripheral[ok]
-            fathers = self._fathers(members, k)
+            members = cand[ok]
+            fathers = self._fathers(members, [b[ok] for b in boxes], k, where)
             members_of.append(members)
             self.canvas_fathers.append(fathers)
             new = assigned[members] < 0
@@ -524,7 +548,8 @@ class OrientedCovering:
         cubes = np.concatenate(members_of + [np.zeros(0, dtype=int)])
         wins = np.repeat(np.arange(len(members_of)), [len(m) for m in members_of])
         by_cube = np.argsort(cubes, kind="stable")
-        self.memberships = np.split(wins[by_cube], np.searchsorted(cubes[by_cube], np.arange(1, n)))
+        wins, bounds = wins[by_cube], np.searchsorted(cubes[by_cube], np.arange(n + 1)).tolist()
+        self.memberships = [wins[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         self.assigned_window = assigned
         bad = peripheral[assigned[peripheral] < 0]
         if len(bad):
@@ -577,22 +602,33 @@ class OrientedCovering:
 
     # fathers and forests ----------------------------------------------------
 
-    def _fathers(self, members, k: int):
+    def _fathers(self, members, boxes, k: int, where):
         """Vertical father (position in the full covering) of each member of
-        window k's canvas, members ascending: the neighbor above with maximal
-        horizontal overlap, exact-float ties broken by (level, index); -1
-        where no neighbor lies above."""
+        window k's canvas, members ascending, given their `_local_boxes`: the
+        neighbor above with maximal horizontal overlap, exact-float ties
+        broken by (level, index); -1 where no neighbor lies above. `where` is
+        a covering-length array of -1, used as the map from cube to row of
+        the projected nodes and left as it was found."""
         src, dst = self.cov.neighbor_pairs(members)
-        nodes = np.union1d(members, dst)
-        boxes = self._local_boxes(k, nodes)
-        above, measure = self._stacked(boxes, np.searchsorted(nodes, dst), np.searchsorted(nodes, src))
+        where[members] = np.arange(len(members))
+        extra = dst[where[dst] < 0]
+        where[extra] = len(members) + np.arange(len(extra))
+        extra = extra[where[extra] == len(members) + np.arange(len(extra))]  # one row per cube
+        nodes = np.concatenate([members, extra])
+        where[extra] = np.arange(len(members), len(nodes))
+        boxes = [np.concatenate(b) for b in zip(boxes, self._local_boxes(k, extra))]
+        above, measure = self._stacked(boxes, where[dst], where[src])
         src, dst, measure = src[above], dst[above], measure[above]
-        order = np.lexsort(self._preference(dst, measure) + [src])
-        src, dst = src[order], dst[order]
-        lead = np.ones(len(src), dtype=bool)
-        lead[1:] = src[1:] != src[:-1]
+        # rows run by src, then dst, ascending: in each src run, the first
+        # row of maximal measure is the father
         out = np.full(len(members), -1, dtype=int)
-        out[np.searchsorted(members, src[lead])] = dst[lead]
+        if len(src):
+            start = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
+            best = np.maximum.reduceat(measure, start)
+            top = np.flatnonzero(measure == np.repeat(best, np.diff(np.append(start, len(src)))))
+            top = top[np.concatenate([[True], src[top[1:]] != src[top[:-1]]])]
+            out[where[src[top]]] = dst[top]
+        where[nodes] = -1
         return out
 
     def canvas_forest(self, k: int) -> Forest:
@@ -653,7 +689,8 @@ class OrientedCovering:
             cand = nbrs[above]
             if not len(cand):
                 raise OrientationError("no cube above during anchored ascent")
-            cur = int(cand[np.lexsort(self._preference(cand, ov[above]))[0]])
+            # largest overlap, ties to the least (level, index): table order
+            cur = int(cand[np.lexsort((cand, -ov[above]))[0]])
             path.append(cur)
         path += self.forest.path(cur)[1:]
         self._anchored_cache[ck] = path

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -83,6 +84,29 @@ def test_malformed_config_exit_code(tmp_path):
     r = run_cli("whitney", "--domain", str(bad), "--min-side", "2^-4")
     assert r.returncode == 2
     assert "config error" in r.stderr
+
+
+def test_acute_corner_is_an_unsupported_domain(tmp_path):
+    tri = tmp_path / "triangle.cfg"
+    tri.write_text("kind = polygon\nvertices = 0 0, 1 0, 0 1\n")
+    r = run_cli("carleson", "--domain", str(tri), "--p", "1.5", "--depths", "6")
+    assert r.returncode == 2
+    assert "unsupported domain" in r.stderr and "45.0 degrees" in r.stderr
+
+
+@pytest.mark.parametrize("angle", [88.0, 92.0])
+def test_kites_near_right_corners_orient(tmp_path, angle):
+    """A kite with corners `angle` (left and right, on the x axis) and
+    180 - angle (top and bottom) still has windows on every bisector."""
+    half = math.radians(angle) / 2
+    p = 1.0 / math.tan(half)
+    kite = tmp_path / "kite.cfg"
+    kite.write_text(f"kind = polygon\nvertices = {-p!r} 0, 0 -1, {p!r} 0, 0 1\n")
+    dom = config.domain_from_config(config.parse_config(kite.read_text()))
+    assert np.degrees(dom.corner_angles()) == pytest.approx([angle, 180 - angle] * 2)
+    out = tmp_path / "kite.json"
+    assert main(["whitney", "--domain", str(kite), "--min-side", "2^-5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["windows"] > 4
 
 
 def test_carleson_command_and_expectation(tmp_path):

@@ -158,3 +158,23 @@ def test_graph_area_exact_across_lower_edge():
     lo, hi = dom.bounding_box()
     assert lo.tolist() == [-1.0, -1.0] and hi.tolist() == [1.0, 1.0]
     assert dom.area() == pytest.approx(307 / 96, rel=1e-14)
+
+
+@pytest.mark.parametrize("angle, supported", [(87.1, False), (87.3, True), (272.7, True), (272.9, False)])
+def test_corner_angle_limit_follows_the_graph_box(angle, supported):
+    """A corner window's edges have slope |cot(angle / 2)|, which the graph
+    box |y| <= 1.05 R bounds: convex corners below 2 atan(1 / 1.05) = 87.2
+    degrees and reflex ones above 272.8 are rejected, the rest build."""
+    phi = math.radians(angle)
+    if angle < 180:  # kite with a left corner of `angle`
+        p = 1.0 / math.tan(phi / 2)
+        verts = [(-p, 0), (0, -1), (1, 0), (0, 1)]
+    else:  # rectangle with a V notch whose tip has interior angle `angle`
+        w = math.tan((2 * math.pi - phi) / 2)
+        verts = [(0, 0), (4, 0), (4, 2), (2 + w, 2), (2, 1), (2 - w, 2), (0, 2)]
+    poly = geometry.make_polygon(verts)
+    if supported:
+        assert len(poly.windows()) > len(verts)
+    else:
+        with pytest.raises(geometry.UnsupportedDomainError, match=f"interior angle {angle:.1f} degrees"):
+            poly.windows()

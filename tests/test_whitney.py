@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -329,6 +330,99 @@ def test_fathers_match_neighbor_scan(disk_oc, square_oc, zigzag05_oc):
                     assert oc.succ[m] == best
                 checked += 1
         assert checked > 100
+
+
+def _brute_force_canvases(oc):
+    """Reference canvases: every peripheral cube projected into every window
+    (corner extents by reductions along the corner axis), fathers ranked by
+    one np.lexsort on (overlap, level, index) over the sorted union of the
+    members and their neighbours. Returns window_members, memberships,
+    assigned_window, the peripheral successors and canvas_fathers."""
+    cov = oc.cov
+    d = cov.dim
+    offsets = np.array(list(itertools.product((0, 1), repeat=d)), dtype=float)
+    tol = 1e-12 * oc.R
+
+    def boxes(win, cubes):
+        corners = cov.lo[cubes][:, None, :] + offsets * cov.sides[cubes][:, None, None]
+        loc = win.to_local(corners.reshape(-1, d)).reshape(len(cubes), 1 << d, d)
+        t, y = loc[:, :, :-1], loc[:, :, -1]
+        return t.min(axis=1), t.max(axis=1), y.min(axis=1), y.max(axis=1)
+
+    peripheral = np.flatnonzero(~oc.central)
+    members_of, fathers_of = [], []
+    memberships = [[] for _ in range(len(cov))]
+    assigned = np.full(len(cov), -1)
+    succ = np.full(len(cov), -1)
+    for k, win in enumerate(oc.windows):
+        t_lo, t_hi, y_lo, y_hi = boxes(win, peripheral)
+        half = oc.delta0 * win.side / 2.0
+        ok = np.all(np.maximum(-t_lo, t_hi) <= half, axis=1) & (np.maximum(-y_lo, y_hi) <= half)
+        members = peripheral[ok]
+        src, dst = cov.neighbor_pairs(members)
+        nodes = np.union1d(members, dst)
+        t_lo, t_hi, _, y_hi = boxes(win, nodes)
+        up, low = np.searchsorted(nodes, dst), np.searchsorted(nodes, src)
+        ov = np.minimum(t_hi[up], t_hi[low]) - np.maximum(t_lo[up], t_lo[low])
+        above = np.all(ov > tol, axis=1) & (y_hi[up] > y_hi[low] + tol)
+        measure = np.prod(np.maximum(ov, 0.0), axis=1)[above]
+        src, dst = src[above], dst[above]
+        idx = cov.indices[dst]
+        order = np.lexsort([idx[:, a] for a in range(d - 1, -1, -1)] + [cov.levels[dst], -measure, src])
+        src, dst = src[order], dst[order]
+        lead = np.ones(len(src), dtype=bool)
+        lead[1:] = src[1:] != src[:-1]
+        fathers = np.full(len(members), -1)
+        fathers[np.searchsorted(members, src[lead])] = dst[lead]
+        new = assigned[members] < 0
+        assigned[members[new]] = k
+        succ[members[new]] = fathers[new]
+        for m in members.tolist():
+            memberships[m].append(k)
+        members_of.append(members.tolist())
+        fathers_of.append(fathers.tolist())
+    return members_of, memberships, assigned, succ[peripheral], fathers_of
+
+
+def _assert_canvases_match_brute_force(oc):
+    members, memberships, assigned, succ, fathers = _brute_force_canvases(oc)
+    assert oc.window_members == members
+    assert [m.tolist() for m in oc.memberships] == memberships
+    assert oc.assigned_window.tolist() == assigned.tolist()
+    assert oc.succ[~oc.central].tolist() == succ.tolist()
+    assert [f.tolist() for f in oc.canvas_fathers] == fathers
+
+
+def test_binned_canvases_match_brute_force(disk_oc, square_oc, zigzag05_oc, halfspace_oc):
+    """Canvases from the candidate grid equal the projection of every
+    peripheral cube into every window, on four fixtures and an L-shape."""
+    lshape = geometry.make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    lshape_oc = whitney.orient(whitney.build_covering(lshape, min_side=2.0**-6, C_W=1.125))
+    for oc in (disk_oc, square_oc, zigzag05_oc, halfspace_oc, lshape_oc):
+        _assert_canvases_match_brute_force(oc)
+
+
+def test_canvas_member_with_corner_on_a_box_face(halfspace):
+    """Flat windows at dyadic centres with canvas half-side 1/4: dyadic cube
+    corners then lie exactly on the canvas box faces, and those cubes are
+    members, including ones whose centres fall outside the window's own
+    grid cell."""
+    cov = whitney.build_covering(halfspace, min_side=2.0**-6, C_W=1.125)
+    wins = [dataclasses.replace(w, center=np.array([round(w.center[0] * 64) / 64, 0.0]))
+            for w in halfspace.windows()]
+    oc = whitney.orient(cov, windows=wins, delta0=0.5)
+    offsets = np.array(list(itertools.product((0, 1), repeat=2)), dtype=float)
+    corners = cov.lo[:, None, :] + offsets * cov.sides[:, None, None]
+    cell = math.sqrt(2) * 0.25
+    on_face = away = 0
+    for k, win in enumerate(oc.windows):
+        reach = np.abs(win.to_local(corners.reshape(-1, 2))).reshape(len(cov), -1).max(axis=1)
+        edge = np.flatnonzero((reach == 0.25) & ~oc.central)
+        assert set(edge.tolist()) <= set(oc.window_members[k])
+        on_face += len(edge)
+        away += int(np.sum(np.any(np.floor(cov.centers[edge] / cell) != np.floor(win.center / cell), axis=1)))
+    assert on_face > 100 and away > 10
+    _assert_canvases_match_brute_force(oc)
 
 
 def test_anchored_path_matches_neighbor_scan(square):
